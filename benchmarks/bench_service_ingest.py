@@ -61,8 +61,7 @@ def ingest_all(shards, batches, n=N):
     )).start()
     for batch in batches:
         service.submit(batch)
-    for shard in service.shards:
-        shard.drain()
+    service.drain()
     return service
 
 

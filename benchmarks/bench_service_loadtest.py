@@ -3,9 +3,10 @@
 Not a paper figure — this measures the deployable subsystem under
 *offered load* the way operators will run it (docs/OPERATIONS.md):
 
-1. Closed-loop maximum throughput for the single-process
-   (thread-per-shard) service and the process-per-shard service on the
-   same planted workload — the ``parallel_speedup`` ratio.
+1. Closed-loop maximum throughput for the thread-transport service and
+   the process-transport service on the same planted workload — the
+   ``parallel_speedup`` ratio, repeated ``SPEEDUP_TRIALS`` times and
+   reported as a median with its interquartile range.
 2. An open-loop QPS ladder against the process service: per-stage
    achieved rate, submit-latency p50/p95/p99, backpressure rejections,
    and the saturation knee (the highest offered rate still absorbed;
@@ -22,12 +23,10 @@ Not a paper figure — this measures the deployable subsystem under
    engine maps the last committed image in O(1) instead of parsing a
    JSON snapshot, and ``restart_speedup`` records the measured ratio.
 
-The ``multiprocess_faster`` check is hardware-aware: process-per-shard
-buys CPU parallelism, so it is only asserted when the runner has >= 2
-usable cores (``os.sched_getaffinity``).  On a single-core machine the
-bench still records both rates — the ratio then measures pure IPC
-overhead — and the check passes vacuously with
-``single_core_waiver: true`` in the payload.
+``parallel_speedup`` is a reported metric, never a check: one closed
+loop lasts tens of milliseconds, so whether processes beat threads in a
+given run is noise on a small host (a 2-core host saw 0.89, 1.51 and
+1.15 on three reruns).  No check compares wall-clock numbers.
 
 ``ops`` stays null: rejection counts depend on wall-clock timing, so
 there is no deterministic operation count to gate at 0%% regression.
@@ -39,7 +38,7 @@ import tempfile
 
 from repro.bench.adapters import bench_main, merge_config
 from repro.bench.loadgen import (StageSpec, find_knee, make_workload,
-                                 run_stages)
+                                 percentile, run_stages)
 from repro.core.optimized import OptimizedCollusionDetector
 from repro.core.thresholds import DetectionThresholds
 from repro.ratings.matrix import RatingMatrix
@@ -47,6 +46,9 @@ from repro.service import (DetectionService, ProcessDetectionService,
                            ServiceConfig)
 
 THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
+
+#: Closed-loop thread/process pairs behind the ``parallel_speedup`` median.
+SPEEDUP_TRIALS = 5
 
 #: Fast-CI tier membership and its shrunk workload (docs/BENCHMARKS.md).
 TIERS = ("smoke", "full")
@@ -169,13 +171,18 @@ def run(config=None):
     workload = make_workload(cfg["n"], cfg["events_per_stage"],
                              seed=cfg["seed"])
 
-    single = _closed_loop_qps(
-        DetectionService(_service_config(cfg["n"], cfg["workers"])).start(),
-        workload, cfg)
-    multi = _closed_loop_qps(
-        ProcessDetectionService(
-            _service_config(cfg["n"], cfg["workers"])).start(),
-        workload, cfg)
+    speedups = []
+    for _ in range(SPEEDUP_TRIALS):
+        single = _closed_loop_qps(
+            DetectionService(
+                _service_config(cfg["n"], cfg["workers"])).start(),
+            workload, cfg)
+        multi = _closed_loop_qps(
+            ProcessDetectionService(
+                _service_config(cfg["n"], cfg["workers"])).start(),
+            workload, cfg)
+        speedups.append(multi.achieved_qps / single.achieved_qps
+                        if single.achieved_qps else float("inf"))
 
     ladder = _open_ladder(
         ProcessDetectionService(
@@ -193,11 +200,7 @@ def run(config=None):
                 for backend in ("dense", "mmap")]
     by_engine = {leg["state_engine"]: leg for leg in restarts}
 
-    single_core = cores < 2
-    faster = multi.achieved_qps > single.achieved_qps
     checks = {
-        # Hardware-aware: only meaningful with real parallelism.
-        "multiprocess_faster": faster or single_core,
         "verdicts_match_batch": served_pairs == batch_pairs,
         "fixed_qps_stage_present": fixed is not None,
         "no_rejects_at_fixed_qps": (fixed is not None
@@ -210,12 +213,13 @@ def run(config=None):
     return {
         "kind": "service-loadtest",
         "cores": cores,
-        "single_core_waiver": single_core,
         "workers": cfg["workers"],
         "single_process": single.to_dict(),
         "multi_process": multi.to_dict(),
-        "parallel_speedup": (multi.achieved_qps / single.achieved_qps
-                             if single.achieved_qps else float("inf")),
+        "parallel_speedup": percentile(speedups, 50),
+        "parallel_speedup_iqr": (percentile(speedups, 75)
+                                 - percentile(speedups, 25)),
+        "parallel_speedup_trials": speedups,
         "open_ladder": [r.to_dict() for r in ladder],
         "knee_qps": None if knee is None else knee.offered_qps,
         "knee_p99_ms": None if knee is None else knee.latency_ms_p99,

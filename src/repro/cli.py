@@ -269,61 +269,18 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                              "(default: process default)")
 
 
-def _data_dir_mode(config) -> Optional[str]:
-    """Which execution mode wrote ``config.data_dir``, if any.
-
-    A ``meta.json`` at the root names the process-per-shard layout
-    (per-worker WALs under ``shard-NN/``); segments in a top-level
-    ``wal/`` name the thread-mode layout.  ``None`` for ephemeral
-    configs and untouched directories.
-    """
-    import pathlib
-
-    if config.data_dir is None:
-        return None
-    root = pathlib.Path(config.data_dir)
-    if (root / "meta.json").is_file():
-        return "process"
-    wal_dir = root / "wal"
-    if wal_dir.is_dir() and any(wal_dir.glob("wal-*.jsonl")):
-        return "thread"
-    return None
-
-
 def _build_service(args: argparse.Namespace):
-    """Thread service by default; --workers N runs process-per-shard."""
+    """Thread shards by default; --workers N runs one process per shard."""
     from dataclasses import replace
 
-    from repro.errors import ServiceError
     from repro.service import DetectionService, ProcessDetectionService
 
     config = _service_config(args)
     workers = getattr(args, "workers", 0)
-    written_by = _data_dir_mode(config)
     if workers:
-        if written_by == "thread":
-            raise ServiceError(
-                f"{config.data_dir} holds thread-mode state (top-level "
-                f"wal/); run without --workers to recover it"
-            )
         # One worker process per shard: --workers overrides --shards so
         # the two knobs never disagree about the partition count.
-        config = replace(config, num_shards=workers)
-        return ProcessDetectionService(config)
-    if written_by == "process":
-        raise ServiceError(
-            f"{config.data_dir} holds process-mode state (meta.json); "
-            f"pass --workers N to recover it"
-        )
-    return DetectionService(config)
-
-
-def _recover_service(config):
-    """Open a durable data dir with the execution mode that wrote it."""
-    from repro.service import DetectionService, ProcessDetectionService
-
-    if _data_dir_mode(config) == "process":
-        return ProcessDetectionService(config)
+        return ProcessDetectionService(replace(config, num_shards=workers))
     return DetectionService(config)
 
 
@@ -435,13 +392,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
+    from repro.service import DetectionService
 
     config = _service_config(args)
     if not config.durable:
         print("replay requires --data-dir", file=sys.stderr)
         return 2
     try:
-        service = _recover_service(config).start()
+        service = DetectionService(config).start()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -462,14 +420,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if args.verify:
             from repro.core.optimized import OptimizedCollusionDetector
             from repro.ratings.matrix import RatingMatrix
-            from repro.service import ProcessDetectionService
 
-            if isinstance(service, ProcessDetectionService):
-                events = iter(service.epoch_wal_events())
-            else:
-                events = service.wal.replay(service.epoch, n=config.n)
             matrix = RatingMatrix(config.n, backend=config.matrix_backend)
-            for event in events:
+            for event in service.epoch_wal_events():
                 matrix.add(event.rater, event.target, event.value)
             batch = OptimizedCollusionDetector(config.thresholds).detect(matrix)
             match = batch.pair_set() == peek.report.pair_set()
@@ -490,6 +443,7 @@ def _cmd_rings(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import ReproError
+    from repro.service import DetectionService
 
     config = _service_config(args)
     if not config.durable:
@@ -498,7 +452,7 @@ def _cmd_rings(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        service = _recover_service(config).start()
+        service = DetectionService(config).start()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,22 +1,25 @@
 """`repro.service` — sharded online collusion-detection service.
 
 The deployable host for the streaming detector: rating traffic is
-partitioned by target id across shard workers — in-process threads
-(:mod:`~repro.service.shard`, hosted by
-:class:`~repro.service.coordinator.DetectionService`) or one OS
-process per shard (:mod:`~repro.service.worker`, hosted by
-:class:`~repro.service.process.ProcessDetectionService`).  Every
-accepted batch is write-ahead logged (:mod:`~repro.service.wal` —
-one shared WAL in thread mode, one per worker in process mode),
-periodic snapshots bound recovery to a WAL-tail replay
-(:mod:`~repro.service.snapshot`), period closes merge per-shard
-screens into epoch verdicts, and a stdlib HTTP API serves queries for
-either mode (:mod:`~repro.service.http_api`).
+partitioned by target id across shards, each owning its detector,
+reputation, WAL and snapshots (:mod:`~repro.service.shard`).  One
+coordinator, :class:`~repro.service.coordinator.DetectionService`,
+drives them through a two-implementation transport port — in-process
+threads (:class:`~repro.service.shard.ShardWorker`, the default) or one
+OS process per shard (:mod:`~repro.service.worker`, bound by
+:class:`~repro.service.process.ProcessDetectionService`).  Both share
+one durability layout: per-shard write-ahead logs
+(:mod:`~repro.service.wal`) and snapshots
+(:mod:`~repro.service.snapshot`) under ``data_dir/shard-NN/`` plus an
+atomically written ``meta.json`` that commits each epoch before the
+shards advance.  Period closes merge per-shard screens into epoch
+verdicts, and a stdlib HTTP API serves queries
+(:mod:`~repro.service.http_api`).
 
 Guarantee: for any accepted event sequence, the merged per-epoch
 verdicts equal :class:`repro.core.optimized.OptimizedCollusionDetector`
 run on the epoch's full rating matrix — including across a crash and
-recovery, in both execution modes.  See ``docs/SERVICE.md`` for the
+recovery, on either transport.  See ``docs/SERVICE.md`` for the
 architecture and the durability contract, and ``docs/OPERATIONS.md``
 for deployment and capacity planning.
 

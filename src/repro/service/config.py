@@ -39,7 +39,8 @@ class ServiceConfig:
         full queue triggers explicit backpressure
         (:class:`~repro.errors.BackpressureError`) — never a silent drop.
     data_dir:
-        Directory for the WAL and snapshots.  ``None`` runs the service
+        Directory for ``meta.json`` and the per-shard ``shard-NN/``
+        WALs and snapshots.  ``None`` runs the service
         ephemeral (no durability) — useful for benchmarks and tests of
         the pure ingest path.
     snapshot_every:
@@ -54,11 +55,11 @@ class ServiceConfig:
     keep_snapshots:
         How many snapshot files to retain (older ones are pruned).
     worker_timeout_s:
-        How long the process-per-shard front-end waits for a shard
-        worker to answer a command or acknowledge a durable batch
-        before declaring it crashed
-        (:class:`~repro.errors.WorkerCrashError`).  Ignored by the
-        thread-per-shard :class:`~repro.service.DetectionService`.
+        How long the coordinator waits for a shard — thread or process
+        — to answer a command or acknowledge a durable batch before
+        declaring it crashed (:class:`~repro.errors.WorkerCrashError`).
+        A thread shard, which cannot be killed, then takes no work
+        until the late command returns.
     host / port:
         Bind address for the HTTP query API (``port=0`` lets the OS
         pick a free port — tests rely on this).
@@ -67,9 +68,9 @@ class ServiceConfig:
         (``"dense"`` / ``"sparse"`` / ``"mmap"``) used wherever the
         service materializes a period matrix — e.g.
         ``repro replay --verify``'s batch cross-check.  ``"mmap"``
-        additionally switches durable process-mode shard workers to
-        binary state images (``shard-NN/images/*.repm``) that restarts
-        map back in O(1) instead of parsing a JSON snapshot.  ``None``
+        additionally switches durable shards to binary state images
+        (``shard-NN/images/*.repm``) that restarts map back in O(1)
+        instead of parsing a JSON snapshot.  ``None``
         keeps the process default.  Unknown names are rejected with
         the available set listed.
     """

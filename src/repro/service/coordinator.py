@@ -2,36 +2,50 @@
 
 This is the long-running host for the streaming detector the paper's
 Section IV assumes ("the reputation manager keeps track of the
-frequency of ratings … and checks for collusion every period T").  The
-coordinator owns:
+frequency of ratings … and checks for collusion every period T").  One
+coordinator, :class:`DetectionService`, drives the shards through a
+small :class:`ShardTransport` port with exactly two implementations:
+the in-thread :class:`~repro.service.shard.ShardWorker` (the default)
+and the subprocess :class:`~repro.service.worker.ProcessShardWorker`
+(:class:`~repro.service.process.ProcessDetectionService`).  Both run
+the same :class:`~repro.service.shard.ShardState`.  The coordinator
+owns:
 
 * **Ingestion** — :meth:`DetectionService.submit` validates a batch,
-  appends it to the WAL (durable-before-acknowledged), then fans the
-  events out to shard queues partitioned by target id.  A full shard
-  queue rejects the whole batch *before* anything is written — explicit
-  backpressure, never a silent drop.
-* **Period orchestration** — :meth:`end_period` drains the shards,
-  assembles the *global* period reputation gate from per-shard
-  contributions, collects every shard's one-sided screens
-  (:class:`~repro.core.model.HalfVerdict`), and joins them — the join
-  is where cross-shard symmetric pairs are re-checked.  The merged
-  verdicts provably equal
+  checks every involved shard's queue capacity *before* anything is
+  written (a full queue rejects the whole batch: explicit backpressure,
+  never a silent drop), then fans the sub-batches out.  In durable mode
+  each shard appends its sub-batch to its own WAL under
+  ``data_dir/shard-NN/`` before acknowledging, and ``submit`` returns
+  only after every involved shard has acknowledged.
+* **Period orchestration** — :meth:`end_period` sums the per-shard
+  period-reputation contributions into the *global* gate, collects
+  every shard's one-sided screens
+  (:class:`~repro.core.model.HalfVerdict`) against it, and joins them —
+  the join is where cross-shard symmetric pairs are re-checked.  The
+  merged verdicts provably equal
   :class:`~repro.core.optimized.OptimizedCollusionDetector` run on the
   epoch's full rating matrix (property-tested).
-* **Durability** — snapshots capture all shard state at a consistent
-  point; recovery loads the latest snapshot and replays only the
-  current epoch's WAL tail.  An ``end_period`` commits at its snapshot
-  write: a crash before that point simply re-runs the period close
-  after recovery.
+* **Durability — one layout, one meta-first commit.**  The coordinator
+  persists only a small ``meta.json`` (epoch, published reputations,
+  latest verdicts), written atomically.  A period close (1) writes the
+  meta naming the new epoch — the commit point — then (2) tells every
+  shard to reset, snapshot and rotate.  A crash between (1) and (2)
+  leaves shards one epoch behind the meta; on restart each replays its
+  WAL tail and performs the same epilogue itself.
+* **Crash detection + restart-from-WAL.**  Every interaction checks the
+  liveness of the shards it touches and restarts a dead one, which in
+  durable mode recovers from its own snapshot + WAL.  A batch in flight
+  when a shard died surfaces as :class:`~repro.errors.WorkerCrashError`,
+  but sub-batches *other* shards acknowledged first are durably
+  applied: submit is at-least-once under a crash, and only
+  :class:`~repro.errors.BackpressureError` guarantees zero trace.
 
-Concurrency: ``submit``, ``end_period`` and ``snapshot`` serialize on
-one ingest lock; shard state is confined to worker threads (see
-:mod:`repro.service.shard`); metrics are thread-safe counters.  Queries
-(``reputation_of``, ``suspects``, ``status``) take the same (re-entrant)
-ingest lock for the duration of the read — ``_ingest_lock`` is the
-inferred guard of every piece of published state (``repro lint
---guards``), and a query that raced ``end_period`` could otherwise
-observe a half-published epoch (new ``_epoch``, old verdicts).
+Concurrency: every method serializes on one re-entrant ingest lock —
+``_ingest_lock`` is the inferred guard of every piece of coordinator
+state (``repro lint --guards``), and a query that raced ``end_period``
+could otherwise observe a half-published epoch (new ``_epoch``, old
+verdicts).  Shard state is confined to the transports.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -51,27 +65,18 @@ from repro.errors import (
     RecoveryError,
     ServiceError,
     UnknownNodeError,
+    WorkerCrashError,
 )
 from repro.ratings.events import Rating
 from repro.rings.detect import RingDetector
 from repro.rings.graph import PairCount, SuspectGraph
 from repro.service.config import ServiceConfig
 from repro.service.metrics import ServiceMetrics
-from repro.service.shard import ShardWorker
-from repro.service.snapshot import SnapshotStore
-from repro.service.wal import WriteAheadLog
+from repro.service.shard import ShardWorker, check_compat, thresholds_signature
+from repro.service.snapshot import (META_FORMAT, persisted_int, read_json,
+                                    write_json)
 
-__all__ = ["DetectionService", "EpochResult"]
-
-
-def _snapshot_int(state: Dict[str, object], key: str) -> int:
-    """Integer snapshot field, validated (bools are not positions)."""
-    value = state.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RecoveryError(
-            f"snapshot field {key!r} must be an integer, got {value!r}"
-        )
-    return value
+__all__ = ["DetectionService", "EpochResult", "ShardTransport"]
 
 
 @dataclass
@@ -95,38 +100,66 @@ class EpochResult:
         }
 
 
-class DetectionService:
-    """Sharded online collusion-detection service.
+class ShardTransport(Protocol):
+    """How the coordinator reaches one shard's :class:`ShardState`.
 
-    Lifecycle: construct with a :class:`ServiceConfig`, :meth:`start`
-    (which recovers from snapshot + WAL when a ``data_dir`` is
-    configured), feed with :meth:`submit`, close periods with
-    :meth:`end_period`, :meth:`stop` for a clean shutdown.  The HTTP
-    layer (:mod:`repro.service.http_api`) is a thin adapter over these
-    methods.
+    Every method is called under the coordinator's ingest lock.
+    Commands (``start_call``) queue behind the batches already
+    enqueued, so each reply doubles as a barrier.
     """
+
+    shard_id: int
+    ready_status: Dict[str, object]
+
+    @property
+    def alive(self) -> bool: ...
+    @property
+    def pid(self) -> Optional[int]: ...
+    def start(self, meta_epoch: int) -> Dict[str, object]: ...
+    def restart(self, meta_epoch: int) -> Dict[str, object]: ...
+    def has_capacity(self) -> bool: ...
+    def enqueue(self, batch: Sequence[Rating]) -> None: ...
+    def wait_acks(self) -> None: ...
+    def start_call(self, name: str, *args: Any) -> Any: ...
+    def finish_call(self, token: Any) -> Any: ...
+    def call(self, name: str, *args: Any) -> Any: ...
+    def queue_depth(self) -> int: ...
+    def stop(self) -> None: ...
+    def close(self) -> None: ...
+
+
+class DetectionService:
+    """Sharded online collusion-detection service, shards on threads.
+
+    Lifecycle: :meth:`start` (recovering any ``data_dir`` state),
+    :meth:`submit`, :meth:`end_period`, :meth:`stop`.
+    :class:`~repro.service.ProcessDetectionService` is the same
+    coordinator with one process per shard.
+    """
+
+    #: The shard transport, constructed as ``transport(shard_id, config)``.
+    transport: Callable[[int, ServiceConfig], ShardTransport] = ShardWorker
+    #: Reported as ``status()["mode"]``.
+    mode = "thread"
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.metrics = ServiceMetrics()
-        self.shards = [ShardWorker(i, config) for i in range(config.num_shards)]
-        self.wal: Optional[WriteAheadLog] = None
-        self.snapshots: Optional[SnapshotStore] = None
+        self.workers: List[ShardTransport] = []
+        self._meta_path: Optional[pathlib.Path] = None
         if config.data_dir is not None:
-            data_dir = pathlib.Path(config.data_dir)
-            self.wal = WriteAheadLog(data_dir / "wal", fsync=config.fsync)
-            self.snapshots = SnapshotStore(
-                data_dir / "snapshots", keep=config.keep_snapshots
-            )
+            self._meta_path = pathlib.Path(config.data_dir) / "meta.json"
         self._ingest_lock = threading.RLock()
         self._ops_baselines: List[Dict[str, int]] = [
             {} for _ in range(config.num_shards)
         ]
         self._started = False
         self._epoch = 0
-        self._epoch_events = 0          # accepted events this epoch == WAL lines
+        self._accepted_per_shard = [0] * config.num_shards
+        self._total_per_shard = [0] * config.num_shards
+        self._restarts = [0] * config.num_shards
         self._last_snapshot_events = 0
-        self._total_events = 0
+        self._last_close_error: Optional[str] = None
         self._published = np.zeros(config.n, dtype=float)
         self._latest_verdicts: Dict[str, object] = {
             "epoch": -1, "events": 0, "pairs": [], "colluders": [],
@@ -138,131 +171,139 @@ class DetectionService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "DetectionService":
-        """Recover durable state (if any) and start the shard workers."""
+        """Load the coordinator meta, then start + recover every shard."""
         with self._ingest_lock:
             if self._started:
                 return self
-            if self.wal is not None:
-                self._recover_locked()
-                self.wal.open_epoch(self._epoch)
-            for shard in self.shards:
-                shard.start()
+            if self._meta_path is not None:
+                self._load_meta_locked(self._meta_path)
+            self.workers = []
+            try:
+                for shard_id in range(self.config.num_shards):
+                    worker = self.transport(shard_id, self.config)
+                    self.workers.append(worker)
+                    self._spawned_locked(shard_id, worker.start(self._epoch))
+            except Exception:
+                # A start that fails mid-loop must not orphan the shards
+                # already running: close them and leave zero service
+                # state behind (REP008).
+                for worker in self.workers:
+                    worker.close()
+                self.workers = []
+                raise
             self._started = True
         return self
 
     def stop(self, snapshot: bool = True) -> None:
-        """Drain and stop the workers; optionally snapshot first.
-
-        A final snapshot makes the next :meth:`start` replay nothing —
-        a clean restart.  ``snapshot=False`` models a crash for tests.
-        """
+        """Graceful drain and shutdown; the optional snapshot makes the
+        next :meth:`start` replay nothing."""
         with self._ingest_lock:
             if not self._started:
                 return
-            for shard in self.shards:
-                shard.drain()
             if snapshot and self.config.durable:
                 self._snapshot_locked()
-            for shard in self.shards:
-                shard.stop()
-            if self.wal is not None:
-                self.wal.close()
+            for worker in self.workers:
+                worker.stop()  # a dead one is only released
             self._started = False
 
     def kill(self) -> None:
-        """Simulate a crash: stop workers with no snapshot or drain.
-
-        Anything already acknowledged is in the WAL; recovery must
-        reproduce it.  Used by crash/recovery tests and nothing else.
-        """
+        """Simulate a front-end crash: no snapshot, no meta update —
+        recovery must reproduce exactly the acknowledged batches."""
         with self._ingest_lock:
-            for shard in self.shards:
-                if shard.running:
-                    shard.drain()
-                    shard.stop()
-            if self.wal is not None:
-                self.wal.close()
+            for worker in self.workers:
+                worker.close()
             self._started = False
 
-    # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-    def _thresholds_signature(self) -> List[object]:
-        th = self.config.thresholds
-        return [th.t_r, th.t_a, th.t_b, th.t_n,
-                self.config.multi_booster_exclusion]
+    def kill_worker(self, shard_id: int) -> None:
+        """Crash one shard (crash-injection hook for tests/chaos)."""
+        with self._ingest_lock:
+            self.workers[shard_id].close()
 
-    def _recover_locked(self) -> None:
-        # Caller (start) holds _ingest_lock — hence the _locked suffix;
-        # the writes below mutate shared epoch/published state.
-        assert self.snapshots is not None and self.wal is not None
-        state = self.snapshots.load_latest()
-        if state is not None:
-            if state.get("n") != self.config.n:
+    # ------------------------------------------------------------------
+    # recovery plumbing
+    # ------------------------------------------------------------------
+    def _load_meta_locked(self, path: pathlib.Path) -> None:
+        if not path.exists():
+            wal_dir = path.parent / "wal"
+            if wal_dir.is_dir() and any(wal_dir.glob("wal-*.jsonl")):
                 raise RecoveryError(
-                    f"snapshot universe n={state['n']} != configured n={self.config.n}"
+                    f"{path.parent} holds the retired single-WAL layout "
+                    f"(top-level wal/ with no meta.json); this build "
+                    f"reads only the per-shard shard-NN/ layout — replay "
+                    f"the old WAL offline to migrate it"
                 )
-            if state.get("num_shards") != self.config.num_shards:
-                raise RecoveryError(
-                    f"snapshot has {state['num_shards']} shards, "
-                    f"configured {self.config.num_shards} — repartitioning "
-                    f"requires an offline replay, not a restart"
-                )
-            if state.get("thresholds") != self._thresholds_signature():
-                raise RecoveryError(
-                    f"snapshot thresholds {state['thresholds']} != configured "
-                    f"{self._thresholds_signature()}"
-                )
-            epoch = _snapshot_int(state, "epoch")
-            epoch_events = _snapshot_int(state, "wal_applied")
-            total_events = _snapshot_int(state, "total_events")
-            published = np.asarray(
-                cast("List[float]", state["published"]), dtype=float
-            )
-            latest_verdicts = cast(
-                Dict[str, object], state["latest_verdicts"]
-            )
-            shard_states = cast(
-                "List[Dict[str, object]]", state["shards"]
-            )
-            for shard, shard_state in zip(self.shards, shard_states):
-                shard.restore_state(shard_state)
-        else:
-            epoch = self._epoch
-            epoch_events = self._epoch_events
-            total_events = self._total_events
-            published = self._published
-            latest_verdicts = self._latest_verdicts
-        # Replay the current epoch's WAL tail directly into the shards
-        # (workers are not running yet — same apply() code path).
-        replayed = 0
-        for rating in self.wal.replay(
-            epoch, skip=epoch_events, n=self.config.n
-        ):
-            self.shards[self.config.shard_of(rating.target)].apply([rating])
-            replayed += 1
-        if replayed:
-            self.metrics.ops.add("recovered_events", replayed)
-        # Commit in one non-raising tail: a snapshot or WAL record that
-        # fails to decode above must leave the coordinator's epoch and
-        # published state exactly as it was (REP008).
+            return
+        meta = read_json(path, "coordinator meta", META_FORMAT)
+        check_compat(meta, self.config, "meta")
+        epoch = persisted_int(meta, "epoch")
+        # Stage the raising decode, then commit in one non-raising
+        # tail: a malformed published vector must not leave the epoch
+        # advanced without its verdicts (REP008).
+        published = np.asarray(
+            cast("List[float]", meta["published"]), dtype=float
+        )
+        latest_verdicts = cast(Dict[str, object], meta["latest_verdicts"])
         self._epoch = epoch
-        self._epoch_events = epoch_events + replayed
-        self._total_events = total_events + replayed
         self._published = published
         self._latest_verdicts = latest_verdicts
-        self._last_snapshot_events = epoch_events + replayed
+
+    def _write_meta_locked(self) -> None:
+        """Atomically persist the coordinator meta — the commit point."""
+        assert self._meta_path is not None
+        write_json(self._meta_path, {
+            "format": META_FORMAT,
+            "epoch": self._epoch,
+            "total_events": sum(self._total_per_shard),
+            "n": self.config.n,
+            "num_shards": self.config.num_shards,
+            "thresholds": thresholds_signature(self.config),
+            "published": [float(v) for v in self._published],
+            "latest_verdicts": self._latest_verdicts,
+        })
+
+    def _spawned_locked(self, shard_id: int,
+                        status: Dict[str, object]) -> None:
+        """Adopt a (re)started shard's ready status."""
+        if status.get("epoch") != self._epoch:
+            self.workers[shard_id].close()
+            raise RecoveryError(
+                f"shard {shard_id} recovered to epoch {status.get('epoch')}, "
+                f"coordinator is at {self._epoch}"
+            )
+        self._accepted_per_shard[shard_id] = cast(
+            int, status.get("epoch_events", 0)
+        )
+        self._total_per_shard[shard_id] = cast(
+            int, status.get("total_events", 0)
+        )
+        # A fresh shard's op counters start from zero.
+        self._ops_baselines[shard_id] = {}
+        replayed = cast(int, status.get("replayed", 0))
+        if replayed:
+            self.metrics.ops.add("recovered_events", replayed)
+        self.metrics.worker_restart_latency.observe(
+            cast(float, status.get("restart_ms", 0.0)) / 1000.0
+        )
+
+    def _ensure_workers_alive_locked(self, shard_ids: Sequence[int]) -> None:
+        """Restart dead shards; durable ones recover from their WAL,
+        ephemeral ones restart with empty counters."""
+        for shard_id in shard_ids:
+            worker = self.workers[shard_id]
+            if not worker.alive:
+                self._spawned_locked(shard_id, worker.restart(self._epoch))
+                self._restarts[shard_id] += 1
+                self.metrics.ops.add("worker_restarts", 1)
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def submit(self, ratings: Sequence[Rating]) -> int:
-        """Accept a batch of ratings; returns the number accepted.
+        """Accept a batch; returns the number accepted.
 
-        All-or-nothing: ids are validated and every involved shard's
-        queue capacity is checked *before* the WAL append, so a
-        rejected batch (:class:`~repro.errors.BackpressureError`) left
-        no trace and can be retried verbatim.
+        A :class:`BackpressureError` rejection left no trace and can be
+        retried verbatim; a :class:`~repro.errors.WorkerCrashError` is
+        at-least-once (see the module docstring).
         """
         batch = list(ratings)
         if not batch:
@@ -283,9 +324,10 @@ class DetectionService:
                 per_shard.setdefault(
                     self.config.shard_of(event.target), []
                 ).append(event)
+            self._ensure_workers_alive_locked(sorted(per_shard))
             try:
                 for shard_id in per_shard:
-                    if not self.shards[shard_id].has_capacity():
+                    if not self.workers[shard_id].has_capacity():
                         raise BackpressureError(
                             shard_id, self.config.queue_capacity
                         )
@@ -293,20 +335,40 @@ class DetectionService:
                 self.metrics.ops.add("ingest_rejected_batches", 1)
                 self.metrics.ops.add("ingest_rejected_events", len(batch))
                 raise
-            if self.wal is not None:
-                self.wal.append(batch)
-                self.metrics.ops.add("wal_appends", 1)
+            # Count the sub-batches other shards accepted before one
+            # crashed, then surface the crash (at-least-once).
+            crash: Optional[WorkerCrashError] = None
+            enqueued: List[int] = []
             for shard_id, sub_batch in per_shard.items():
-                self.shards[shard_id].enqueue(sub_batch)
-            self._epoch_events += len(batch)
-            self._total_events += len(batch)
+                try:
+                    self.workers[shard_id].enqueue(sub_batch)
+                except WorkerCrashError as exc:
+                    crash = exc
+                    break
+                enqueued.append(shard_id)
+            acked = enqueued
+            if self.config.durable:
+                acked = []
+                for shard_id in enqueued:
+                    try:
+                        self.workers[shard_id].wait_acks()
+                    except WorkerCrashError as exc:
+                        crash = crash or exc
+                    else:
+                        acked.append(shard_id)
+                self.metrics.ops.add("wal_appends", len(acked))
+            for shard_id in acked:
+                self._accepted_per_shard[shard_id] += len(per_shard[shard_id])
+                self._total_per_shard[shard_id] += len(per_shard[shard_id])
+            if crash is not None:
+                raise crash
             self.metrics.ops.add("ingest_batches", 1)
             self.metrics.ops.add("ingest_events", len(batch))
             self.metrics.ingest_latency.observe(time.perf_counter() - started)
             if (
                 self.config.durable
                 and self.config.snapshot_every > 0
-                and self._epoch_events - self._last_snapshot_events
+                and sum(self._accepted_per_shard) - self._last_snapshot_events
                 >= self.config.snapshot_every
             ):
                 self._snapshot_locked()
@@ -321,50 +383,67 @@ class DetectionService:
     def drain(self) -> None:
         """Block until every accepted event has been applied.
 
-        A barrier through each shard's queue: after it returns,
-        queries reflect all prior :meth:`submit` calls.  The load
-        generator (:mod:`repro.bench.loadgen`) closes each stage with
-        it so closed-loop throughput measures detector processing, not
-        queue absorption.
+        A barrier behind each shard's queued batches: after it returns,
+        queries reflect all prior :meth:`submit` calls.
         """
         with self._ingest_lock:
             if not self._started:
                 raise ServiceError("service is not running — call start()")
-            for shard in self.shards:
-                shard.drain()
+            self._fanout_locked("barrier")
 
     # ------------------------------------------------------------------
     # period orchestration
     # ------------------------------------------------------------------
-    def _evaluate_locked(
-        self,
-    ) -> "Tuple[DetectionReport, npt.NDArray[np.float64]]":
-        """Drain, build the global gate, screen, and join — no mutation.
+    def _fanout_locked(self, name: str, *args: object) -> List[Any]:
+        """Issue one command to every shard, then collect all replies.
 
-        The shared evaluation behind :meth:`end_period` and
-        :meth:`peek`; caller holds the ingest lock.
+        Issue-all-then-collect lets every shard drain its queue and run
+        the command concurrently.  Dead shards are restarted *before*
+        the command goes out, so ``peek``/``end_period``/``drain`` stay
+        available after a crash.  Collection is best-effort: the first
+        failure is re-raised once every live shard has replied, so no
+        reply is left behind for the next interaction.
         """
-        for shard in self.shards:
-            shard.drain()
-        gate = np.zeros(self.config.n, dtype=float)
-        for shard in self.shards:
-            gate += shard.call(lambda s: s.detector.period_reputation())
+        self._ensure_workers_alive_locked(range(self.config.num_shards))
+        first_error: Optional[Exception] = None
+        tokens: List[Any] = []
+        for worker in self.workers:
+            try:
+                tokens.append(worker.start_call(name, *args))
+            except WorkerCrashError as exc:
+                tokens.append(None)
+                first_error = first_error or exc
+        replies: List[Any] = []
+        for worker, token in zip(self.workers, tokens):
+            if token is None:
+                replies.append(None)
+                continue
+            try:
+                replies.append(worker.finish_call(token))
+            except ServiceError as exc:  # includes WorkerCrashError
+                replies.append(None)
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+        return replies
 
+    def _sum_locked(self, name: str) -> "npt.NDArray[np.float64]":
+        """Sum every shard's reputation contribution: ``"reputation"``
+        is the period gate, ``"cumulative"`` the published vector."""
+        total = np.zeros(self.config.n, dtype=float)
+        for contribution in self._fanout_locked(name):
+            total += contribution
+        return total
+
+    def _evaluate_locked(self) -> DetectionReport:
+        """Drain, build the global gate, screen, and join — no mutation."""
+        gate = self._sum_locked("reputation")
         halves: List[HalfVerdict] = []
         pass_operations: Dict[str, int] = {}
-        for shard in self.shards:
-            def _candidates(
-                s: ShardWorker,
-                _gate: "npt.NDArray[np.float64]" = gate,
-            ) -> "Tuple[List[HalfVerdict], Dict[str, int]]":
-                before = s.detector.ops.snapshot()
-                found = s.detector.period_candidates(reputation=_gate)
-                return found, s.detector.ops.diff(before)
-            shard_halves, ops_diff = shard.call(_candidates)
+        for shard_halves, ops_diff in self._fanout_locked("candidates", gate):
             halves.extend(shard_halves)
-            for name, value in ops_diff.items():
-                pass_operations[name] = pass_operations.get(name, 0) + value
-
+            for op_name, value in ops_diff.items():
+                pass_operations[op_name] = pass_operations.get(op_name, 0) + value
         report = DetectionReport(
             method="service",
             examined_nodes=int((gate >= self.config.thresholds.t_r).sum()),
@@ -372,66 +451,36 @@ class DetectionService:
         for pair in join_half_verdicts(halves):
             report.add(pair)
         report.operations = pass_operations
-        return report, gate
+        return report
 
     def peek(self) -> EpochResult:
-        """Evaluate the open epoch *without* closing it.
-
-        Same merge as :meth:`end_period` but nothing is reset,
-        published, snapshotted or rotated — the epoch keeps
-        accumulating.  ``repro replay --verify`` uses this to audit a
-        recovered state against the batch detector.
-        """
+        """Evaluate the open epoch *without* closing it (nothing is
+        reset, published, snapshotted or rotated)."""
         with self._ingest_lock:
             if not self._started:
                 raise ServiceError("service is not running — call start()")
-            report, _gate = self._evaluate_locked()
-            published = np.zeros(self.config.n, dtype=float)
-            for shard in self.shards:
-                published += shard.call(lambda s: s.cumulative.reputation())
+            report = self._evaluate_locked()
             return EpochResult(
                 epoch=self._epoch,
                 report=report,
-                events=self._epoch_events,
-                reputation=published,
+                events=sum(self._accepted_per_shard),
+                reputation=self._sum_locked("cumulative"),
             )
 
     def collusion_graph(self, edge_floor: float = 0.5) -> Dict[str, object]:
-        """The live suspect graph + ring verdicts for the open epoch.
-
-        Read-only evaluation (like :meth:`peek`): drains the shards,
-        rebuilds the global reputation gate, collects the half-verdicts
-        and raw pair counters from every shard, assembles a
-        :class:`~repro.rings.graph.SuspectGraph` and runs the
-        :class:`~repro.rings.detect.RingDetector` over it.  Nothing is
-        reset or published — the epoch keeps accumulating.  Serves
-        ``GET /collusion-graph``.
-        """
+        """The open epoch's live :class:`~repro.rings.graph.SuspectGraph`
+        and :class:`~repro.rings.detect.RingDetector` verdicts
+        (read-only, like :meth:`peek`; serves ``GET /collusion-graph``)."""
         with self._ingest_lock:
             if not self._started:
                 raise ServiceError("service is not running — call start()")
-            for shard in self.shards:
-                shard.drain()
-            gate = np.zeros(self.config.n, dtype=float)
-            for shard in self.shards:
-                gate += shard.call(lambda s: s.detector.period_reputation())
-
+            gate = self._sum_locked("reputation")
             halves: List[HalfVerdict] = []
             pair_counts: List[PairCount] = []
             node_eff = np.zeros(self.config.n, dtype=np.int64)
             node_pos = np.zeros(self.config.n, dtype=np.int64)
-            for shard in self.shards:
-                def _export(
-                    s: ShardWorker,
-                    _gate: "npt.NDArray[np.float64]" = gate,
-                ) -> "Tuple[List[HalfVerdict], List[PairCount], np.ndarray, np.ndarray]":
-                    return (
-                        s.detector.period_candidates(reputation=_gate),
-                        s.detector.pair_counts(),
-                        *s.detector.node_counters(),
-                    )
-                shard_halves, shard_counts, shard_eff, shard_pos = \
-                    shard.call(_export)
+            for reply in self._fanout_locked("graph", gate):
+                shard_halves, shard_counts, shard_eff, shard_pos = reply
                 halves.extend(shard_halves)
                 pair_counts.extend(shard_counts)
                 node_eff += shard_eff
@@ -446,7 +495,7 @@ class DetectionService:
             return {
                 "schema_version": 1,
                 "epoch": self._epoch,
-                "events": self._epoch_events,
+                "events": sum(self._accepted_per_shard),
                 "graph": graph.to_dict(),
                 "pairs": [[p.low, p.high] for p in report.pairs],
                 "groups": [g.to_dict() for g in report.groups],
@@ -455,67 +504,70 @@ class DetectionService:
     def end_period(self) -> EpochResult:
         """Close the current epoch and publish its verdicts.
 
-        Orchestration: (1) barrier-drain every shard; (2) sum the
-        per-shard period-reputation contributions into the global gate
-        vector; (3) collect each shard's half-verdicts against that
-        gate; (4) join them — cross-shard symmetric pairs meet here;
-        (5) publish cumulative reputations + epoch verdicts; (6) reset
-        period state, snapshot, rotate the WAL.  Commits at the
-        snapshot write (step 6): a crash before that re-runs the close
-        after recovery; a crash after it finds the new epoch already
-        current.
+        Evaluate (gate, screens, join), publish and write ``meta.json``
+        — the commit point — then tell every shard to reset, snapshot
+        and rotate (see the module docstring).
         """
         started = time.perf_counter()
         with self._ingest_lock:
             if not self._started:
                 raise ServiceError("service is not running — call start()")
-            report, _gate = self._evaluate_locked()
+            report = self._evaluate_locked()
 
             # Everything since the last close (ingest observes + the
-            # screening pass) flows into the detector:* metrics.  The
-            # new baselines are staged into a local and committed with
-            # the epoch roll below: a shard.call that raises mid-loop
-            # must not leave half the baselines advanced (REP008).
+            # screening pass) flows into the detector:* metrics.  Stage
+            # the new baselines; a fan-out that raises mid-loop must
+            # not leave half of them advanced (REP008).
             new_baselines: Dict[int, Dict[str, int]] = {}
-            for shard in self.shards:
-                ops_now = shard.call(lambda s: s.detector.ops.snapshot())
-                baseline = self._ops_baselines[shard.shard_id]
+            for shard_id, ops_now in enumerate(self._fanout_locked("ops")):
+                baseline = self._ops_baselines[shard_id]
                 self.metrics.merge_detector_ops({
                     name: value - baseline.get(name, 0)
                     for name, value in ops_now.items()
                     if value - baseline.get(name, 0)
                 })
-                new_baselines[shard.shard_id] = ops_now
-
-            published = np.zeros(self.config.n, dtype=float)
-            for shard in self.shards:
-                published += shard.call(lambda s: s.cumulative.reputation())
-
-            for shard in self.shards:
-                shard.call(lambda s: s.detector.reset_period())
+                new_baselines[shard_id] = ops_now
 
             result = EpochResult(
                 epoch=self._epoch,
                 report=report,
-                events=self._epoch_events,
-                reputation=published,
+                events=sum(self._accepted_per_shard),
+                reputation=self._sum_locked("cumulative"),
             )
             latest = result.to_dict()
             # Commit: one non-raising tail.
             for shard_id, ops in new_baselines.items():
                 self._ops_baselines[shard_id] = ops
-            self._published = published
+            self._published = result.reputation
             self._latest_verdicts = latest
             self._history.append(latest)
             self._epoch += 1
-            self._epoch_events = 0
+            self._accepted_per_shard = [0] * self.config.num_shards
             self._last_snapshot_events = 0
+            self._last_close_error = None
             self.metrics.ops.add("periods_closed", 1)
             if len(report):
                 self.metrics.ops.add("detections", len(report))
-            if self.wal is not None:
-                self._snapshot_locked()      # commit point
-                self.wal.rotate(self._epoch)
+            if self._meta_path is not None:
+                self._write_meta_locked()      # commit point
+            # Past the commit point the close has happened and must
+            # return its result, not an error a client would retry into
+            # closing a second epoch.  A failing shard is restarted (it
+            # recovers to the committed epoch itself) and the
+            # degradation is surfaced via status()/metrics.
+            try:
+                self._fanout_locked("advance", self._epoch)
+            except ServiceError as exc:
+                self._last_close_error = f"epoch {self._epoch - 1}: {exc}"
+                self.metrics.ops.add("end_period_degraded", 1)
+                try:
+                    self._ensure_workers_alive_locked(
+                        range(self.config.num_shards)
+                    )
+                except ServiceError:
+                    pass  # still dead — the next interaction retries
+            if self.config.durable:
+                self.metrics.ops.add("snapshots", self.config.num_shards)
             self.metrics.end_period_latency.observe(time.perf_counter() - started)
         return result
 
@@ -523,34 +575,19 @@ class DetectionService:
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> None:
-        """Force a consistent snapshot (drains the shards first)."""
+        """Force a consistent snapshot across coordinator + shards."""
         with self._ingest_lock:
             if not self.config.durable:
                 raise ServiceError("snapshots need a data_dir (durable mode)")
-            for shard in self.shards:
-                shard.drain()
             self._snapshot_locked()
 
     def _snapshot_locked(self) -> None:
-        """Write a snapshot; caller holds the lock and has drained."""
-        assert self.snapshots is not None  # callers check durable mode
-        for shard in self.shards:
-            shard.drain()
-        state: Dict[str, object] = {
-            "epoch": self._epoch,
-            "wal_applied": self._epoch_events,
-            "total_events": self._total_events,
-            "n": self.config.n,
-            "num_shards": self.config.num_shards,
-            "thresholds": self._thresholds_signature(),
-            "shards": [shard.call(ShardWorker.export_state)
-                       for shard in self.shards],
-            "published": [float(v) for v in self._published],
-            "latest_verdicts": self._latest_verdicts,
-        }
-        self.snapshots.save(state)
-        self._last_snapshot_events = self._epoch_events
-        self.metrics.ops.add("snapshots", 1)
+        """Per-shard snapshots (each a barrier behind its queued
+        batches) + coordinator meta; caller holds the lock."""
+        self._fanout_locked("snapshot")
+        self._write_meta_locked()
+        self._last_snapshot_events = sum(self._accepted_per_shard)
+        self.metrics.ops.add("snapshots", self.config.num_shards)
 
     # ------------------------------------------------------------------
     # queries (consistent reads under the re-entrant ingest lock)
@@ -564,27 +601,27 @@ class DetectionService:
     def epoch_events(self) -> int:
         """Events accepted into the currently open epoch."""
         with self._ingest_lock:
-            return self._epoch_events
+            return sum(self._accepted_per_shard)
 
     @property
     def total_events(self) -> int:
         with self._ingest_lock:
-            return self._total_events
+            return sum(self._total_per_shard)
 
     def reputation_of(self, node: int, live: bool = False) -> float:
         """Published cumulative reputation of ``node``.
 
-        ``live=True`` reads the owning shard's current accumulator
-        (barrier through its queue) instead of the last epoch-published
-        value.
+        ``live=True`` round-trips to the owning shard (a barrier behind
+        its queue) instead of reading the last published value.
         """
         if not 0 <= node < self.config.n:
             raise UnknownNodeError(node, self.config.n)
-        if live:
-            shard = self.shards[self.config.shard_of(node)]
-            return float(shard.call(lambda s: s.cumulative.reputation_of(node)))
         with self._ingest_lock:
-            return float(self._published[node])
+            if not live:
+                return float(self._published[node])
+            shard_id = self.config.shard_of(node)
+            self._ensure_workers_alive_locked([shard_id])
+            return cast(float, self.workers[shard_id].call("cumulative_of", node))
 
     def suspects(self) -> Dict[str, object]:
         """Latest epoch's published verdicts (epoch ``-1`` = none yet)."""
@@ -596,42 +633,52 @@ class DetectionService:
         with self._ingest_lock:
             return list(self._history)
 
+    def export_shard_states(self) -> List[Dict[str, object]]:
+        """Every shard's exported detector + cumulative state
+        (canonical-JSON comparable across transports)."""
+        with self._ingest_lock:
+            return self._fanout_locked("export")
+
+    def epoch_wal_events(self) -> List[Rating]:
+        """The open epoch's accepted events, re-read from shard WALs.
+
+        The ``repro replay --verify`` instrument.  Order across shards
+        is arbitrary; the batch cross-check only folds events into a
+        commutative count matrix.
+        """
+        with self._ingest_lock:
+            return [event for events in self._fanout_locked("wal_events")
+                    for event in events]
+
     def status(self) -> Dict[str, object]:
         """Health document for ``GET /healthz``.
 
-        The ``workers`` block mirrors the process-per-shard service's
-        per-worker fields (docs/SERVICE.md) so monitoring reads one
-        contract regardless of deployment mode; thread workers have no
-        pid or restart count of their own.
+        No shard round-trips, so ``/healthz`` stays responsive even when
+        every queue is saturated.  Thread shards report ``pid: null``.
         """
         with self._ingest_lock:
             return {
                 "status": "ok" if self._started else "stopped",
-                "mode": "thread",
+                "mode": self.mode,
                 "epoch": self._epoch,
-                "epoch_events": self._epoch_events,
-                "total_events": self._total_events,
+                "epoch_events": sum(self._accepted_per_shard),
+                "total_events": sum(self._total_per_shard),
                 "shards": self.config.num_shards,
-                "queue_depths": [shard.queue.qsize()
-                                 for shard in self.shards],
+                "queue_depths": [w.queue_depth() for w in self.workers],
                 "durable": self.config.durable,
+                "last_close_error": self._last_close_error,
                 "workers": [
                     {
-                        "shard": shard.shard_id,
-                        "pid": None,
-                        "alive": shard.running,
-                        "queue_depth": shard.queue.qsize(),
-                        "epoch_events": None,
-                        "restarts": 0,
+                        "shard": worker.shard_id,
+                        "pid": worker.pid,
+                        "alive": worker.alive,
+                        "queue_depth": worker.queue_depth(),
+                        "epoch_events":
+                            self._accepted_per_shard[worker.shard_id],
+                        "restarts": self._restarts[worker.shard_id],
+                        "restart_ms":
+                            worker.ready_status.get("restart_ms", 0.0),
                     }
-                    for shard in self.shards
+                    for worker in self.workers
                 ],
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._ingest_lock:
-            return (
-                f"DetectionService(n={self.config.n}, "
-                f"shards={self.config.num_shards}, "
-                f"epoch={self._epoch}, events={self._total_events})"
-            )

@@ -1,18 +1,15 @@
 """Stdlib HTTP query API for the detection service.
 
-A thin JSON adapter over the detection service — either the
-thread-per-shard :class:`repro.service.DetectionService` or the
-process-per-shard :class:`repro.service.ProcessDetectionService`; the
-two expose the same surface, so the front-end is shared.  No
-framework, no new dependencies, just ``http.server`` with a threading
-mixin so queries are served while ratings stream in.
+A thin JSON adapter over :class:`repro.service.DetectionService`
+(either shard transport).  No framework, no new dependencies, just
+``http.server`` with a threading mixin so queries are served while
+ratings stream in.
 
 Endpoints
 ---------
 ``GET /healthz``
-    Liveness + epoch/queue status; the process-per-shard service adds
-    a ``workers`` block (pid, liveness, queue depth, restarts per
-    shard worker).
+    Liveness + epoch/queue status, with a ``workers`` block (pid,
+    liveness, queue depth, restarts per shard worker).
 ``GET /metrics``
     Ingest/detection counters and latency histograms (JSON).
 ``GET /reputation/{node}``
@@ -47,7 +44,7 @@ import json
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
@@ -62,12 +59,8 @@ from repro.errors import (
 )
 from repro.ratings.io import decode_jsonl
 from repro.service.coordinator import DetectionService
-from repro.service.process import ProcessDetectionService
 
 __all__ = ["ServiceHTTPServer"]
-
-#: Both service flavours share one surface; the adapter serves either.
-AnyDetectionService = Union[DetectionService, ProcessDetectionService]
 
 _REPUTATION_RE = re.compile(r"^/reputation/(\d+)$")
 _MAX_BODY = 8 * 1024 * 1024  # 8 MiB request cap — bound memory per request
@@ -79,7 +72,7 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 service: AnyDetectionService) -> None:
+                 service: DetectionService) -> None:
         super().__init__(address, _Handler)
         self.service = service
 
@@ -91,7 +84,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     @property
-    def service(self) -> AnyDetectionService:
+    def service(self) -> DetectionService:
         assert isinstance(self.server, _Server)
         return self.server.service
 
@@ -250,7 +243,7 @@ class ServiceHTTPServer:
     caller (CLI, tests, examples) keeps control.
     """
 
-    def __init__(self, service: AnyDetectionService,
+    def __init__(self, service: DetectionService,
                  host: Optional[str] = None,
                  port: Optional[int] = None) -> None:
         self.service = service

@@ -1,739 +1,31 @@
 """Process-per-shard detection service: the multi-core front-end.
 
-:class:`ProcessDetectionService` has the same public surface and the
-same verdict guarantees as the thread-per-shard
-:class:`~repro.service.coordinator.DetectionService`, but each shard's
-detector runs in its own OS process (:mod:`repro.service.worker`), so
-ingest and screening scale past the GIL.  The differences that matter:
-
-* **Durability moves into the workers.**  Each worker appends its
-  sub-batch to its *own* WAL under ``data_dir/shard-NN/`` before
-  acknowledging; :meth:`submit` in durable mode returns only after
-  every involved worker has acknowledged, preserving
-  durable-before-acknowledged end to end.  The coordinator persists
-  only a small ``meta.json`` (epoch, published reputations, latest
-  verdicts), written atomically.
-* **Epoch commit ordering is meta-first.**  A period close drains and
-  screens, then (1) atomically writes ``meta.json`` naming the new
-  epoch — the commit point — and (2) tells every worker to reset,
-  snapshot and rotate.  A crash between (1) and (2) leaves workers one
-  epoch behind the meta; on restart each such worker replays its WAL
-  tail and performs the same reset/snapshot/rotate itself (idempotent,
-  because ingest never resumes until every worker has advanced).
-* **Crash detection + restart-from-WAL.**  A dead worker is detected on
-  the next interaction — *any* interaction: submit checks liveness for
-  the shards it touches, and every control-plane fan-out
-  (``peek``/``end_period``/``drain``/graph/snapshot) checks all of them
-  — and, in durable mode, restarted from its own snapshot + WAL.
-  Batches the service acknowledged are in that WAL by contract.  A
-  batch in flight when a worker died surfaces as
-  :class:`~repro.errors.WorkerCrashError`, but sub-batches *other*
-  shards acknowledged first are durably applied: submit is
-  at-least-once under a crash, and only
-  :class:`~repro.errors.BackpressureError` guarantees zero trace.
-
-Verdict equivalence is unchanged: the period close sums per-worker
-reputation contributions into the global gate, collects per-worker
-half-verdicts against it, and joins them — property-tested equal to
-the batch :class:`~repro.core.optimized.OptimizedCollusionDetector`
-and to the thread service on the same stream.
+:class:`ProcessDetectionService` is :class:`~repro.service.coordinator.
+DetectionService` bound to the subprocess shard transport
+(:class:`~repro.service.worker.ProcessShardWorker`): each shard's
+detector runs in its own OS process, so ingest and screening scale past
+the GIL.  Everything else — the public surface, the verdict guarantee,
+the per-shard ``shard-NN/`` durability layout and the meta-first epoch
+commit — is the one coordinator's, so a data dir written by either
+transport reopens under the other.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pathlib
-import threading
-import time
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from repro.core.model import join_half_verdicts
+from repro.service.coordinator import DetectionService
+from repro.service.snapshot import META_FORMAT
+from repro.service.worker import ProcessShardWorker
 
-import numpy as np
-import numpy.typing as npt
-
-from repro.core.model import DetectionReport, HalfVerdict, join_half_verdicts
-from repro.errors import (
-    BackpressureError,
-    RecoveryError,
-    ServiceError,
-    UnknownNodeError,
-    WorkerCrashError,
-)
-from repro.ratings.events import Rating
-from repro.rings.detect import RingDetector
-from repro.rings.graph import PairCount, SuspectGraph
-from repro.service.config import ServiceConfig
-from repro.service.coordinator import EpochResult
-from repro.service.metrics import ServiceMetrics
-from repro.service.snapshot import META_FORMAT, read_meta, write_meta
-from repro.service.wal import WriteAheadLog
-from repro.service.worker import (
-    EventTuple,
-    ProcessShardWorker,
-    _RESTART_METHOD,
-    _START_METHOD,
-    _thresholds_signature,
-    shard_data_dir,
-)
-
-__all__ = ["ProcessDetectionService", "META_FORMAT"]
+__all__ = ["ProcessDetectionService", "META_FORMAT", "join_half_verdicts"]
 
 
-class ProcessDetectionService:
+class ProcessDetectionService(DetectionService):
     """Sharded collusion-detection service, one process per shard.
 
-    Drop-in for :class:`~repro.service.DetectionService`: same
-    constructor, same lifecycle (``start`` / ``submit`` /
-    ``end_period`` / ``stop``), same HTTP adapter.  ``status()``
-    additionally reports per-worker liveness (pid, queue depth,
-    restarts) for ``GET /healthz``.
+    ``status()`` additionally reports each worker's pid for
+    ``GET /healthz``.
     """
 
-    def __init__(self, config: ServiceConfig) -> None:
-        self.config = config
-        self.metrics = ServiceMetrics()
-        self.workers: List[ProcessShardWorker] = []
-        # Initial workers fork before any HTTP thread exists; runtime
-        # restarts must not fork a multithreaded parent (see worker.py).
-        self._ctx = multiprocessing.get_context(_START_METHOD)
-        self._restart_ctx = multiprocessing.get_context(_RESTART_METHOD)
-        self._meta_path: Optional[pathlib.Path] = None
-        if config.data_dir is not None:
-            self._meta_path = pathlib.Path(config.data_dir) / "meta.json"
-        self._ingest_lock = threading.RLock()
-        self._ops_baselines: List[Dict[str, int]] = [
-            {} for _ in range(config.num_shards)
-        ]
-        self._started = False
-        self._epoch = 0
-        self._accepted_per_shard = [0] * config.num_shards
-        self._total_per_shard = [0] * config.num_shards
-        self._restarts = [0] * config.num_shards
-        self._last_snapshot_events = 0
-        self._last_close_error: Optional[str] = None
-        self._published = np.zeros(config.n, dtype=float)
-        self._latest_verdicts: Dict[str, object] = {
-            "epoch": -1, "events": 0, "pairs": [], "colluders": [],
-            "examined_nodes": 0, "operations": {},
-        }
-        self._history: List[Dict[str, object]] = []
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "ProcessDetectionService":
-        """Load the coordinator meta, spawn + recover every worker."""
-        with self._ingest_lock:
-            if self._started:
-                return self
-            if self._meta_path is not None:
-                self._load_meta_locked()
-            self.workers = []
-            try:
-                for shard_id in range(self.config.num_shards):
-                    self._spawn_worker_locked(shard_id)
-            except Exception:
-                # A spawn that fails mid-loop must not orphan the
-                # workers (and their Pipes) already started: close
-                # them and leave zero service state behind (REP008).
-                for worker in self.workers:
-                    worker.close(force=True)
-                self.workers = []
-                raise
-            self._started = True
-        return self
-
-    def stop(self, snapshot: bool = True) -> None:
-        """Graceful drain and shutdown; optionally snapshot first.
-
-        Every worker applies everything already queued before exiting
-        (the stop command rides the same FIFO queue as the batches), so
-        a clean stop loses nothing even without the snapshot.
-        """
-        with self._ingest_lock:
-            if not self._started:
-                return
-            if snapshot and self.config.durable:
-                self._snapshot_locked()
-            for worker in self.workers:
-                if worker.alive:
-                    worker.stop()
-                else:
-                    worker.close(force=True)
-            self._started = False
-
-    def kill(self) -> None:
-        """Simulate a front-end crash: SIGKILL workers, no drain.
-
-        Durable mode guarantees every *acknowledged* batch is already
-        in some worker's WAL; recovery must reproduce exactly those.
-        """
-        with self._ingest_lock:
-            for worker in self.workers:
-                worker.close(force=True)
-            self._started = False
-
-    def kill_worker(self, shard_id: int) -> None:
-        """SIGKILL one worker (crash-injection hook for tests/chaos)."""
-        with self._ingest_lock:
-            self.workers[shard_id].kill()
-
-    # ------------------------------------------------------------------
-    # recovery plumbing
-    # ------------------------------------------------------------------
-    def _load_meta_locked(self) -> None:
-        assert self._meta_path is not None
-        meta = read_meta(self._meta_path)
-        if meta is None:
-            return
-        if meta.get("n") != self.config.n:
-            raise RecoveryError(
-                f"meta universe n={meta['n']} != configured n={self.config.n}"
-            )
-        if meta.get("num_shards") != self.config.num_shards:
-            raise RecoveryError(
-                f"meta has {meta['num_shards']} shards, configured "
-                f"{self.config.num_shards} — repartitioning requires an "
-                f"offline replay, not a restart"
-            )
-        if meta.get("thresholds") != _thresholds_signature(self.config):
-            raise RecoveryError(
-                f"meta thresholds {meta['thresholds']} != configured "
-                f"{_thresholds_signature(self.config)}"
-            )
-        epoch = meta.get("epoch")
-        if isinstance(epoch, bool) or not isinstance(epoch, int):
-            raise RecoveryError(f"meta epoch must be an int, got {epoch!r}")
-        # Stage the raising decode, then commit in one non-raising
-        # tail: a malformed published vector must not leave the epoch
-        # advanced without its verdicts (REP008).
-        published = np.asarray(
-            cast("List[float]", meta["published"]), dtype=float
-        )
-        latest_verdicts = cast(
-            Dict[str, object], meta["latest_verdicts"]
-        )
-        self._epoch = epoch
-        self._published = published
-        self._latest_verdicts = latest_verdicts
-
-    def _write_meta_locked(self) -> None:
-        """Atomically persist the coordinator meta — the commit point."""
-        assert self._meta_path is not None
-        write_meta(self._meta_path, {
-            "epoch": self._epoch,
-            "total_events": self.total_events,
-            "n": self.config.n,
-            "num_shards": self.config.num_shards,
-            "thresholds": _thresholds_signature(self.config),
-            "published": [float(v) for v in self._published],
-            "latest_verdicts": self._latest_verdicts,
-        })
-
-    def _spawn_worker_locked(
-        self, shard_id: int,
-        context: Optional[multiprocessing.context.BaseContext] = None,
-    ) -> ProcessShardWorker:
-        worker = ProcessShardWorker(
-            shard_id, self.config, meta_epoch=self._epoch,
-            context=context if context is not None else self._ctx,
-        )
-        status = worker.ready_status
-        if status.get("epoch") != self._epoch:
-            worker.close(force=True)
-            raise RecoveryError(
-                f"shard {shard_id} recovered to epoch {status.get('epoch')}, "
-                f"coordinator is at {self._epoch}"
-            )
-        if len(self.workers) == shard_id:
-            self.workers.append(worker)
-        else:
-            self.workers[shard_id] = worker
-        self._accepted_per_shard[shard_id] = cast(
-            int, status.get("epoch_events", 0)
-        )
-        self._total_per_shard[shard_id] = cast(
-            int, status.get("total_events", 0)
-        )
-        replayed = cast(int, status.get("replayed", 0))
-        if replayed:
-            self.metrics.ops.add("recovered_events", replayed)
-        self.metrics.worker_restart_latency.observe(
-            cast(float, status.get("restart_ms", 0.0)) / 1000.0
-        )
-        return worker
-
-    def _restart_worker_locked(self, shard_id: int) -> None:
-        """Replace a dead worker; durable workers recover from their WAL.
-
-        An ephemeral (no ``data_dir``) worker has nothing to recover
-        from — its restart starts the shard's counters empty, which the
-        docs flag loudly; run durable if restarts must be lossless.
-
-        Restarts use :data:`_RESTART_METHOD` (forkserver/spawn), never
-        ``fork``: by now HTTP handler threads exist, and forking a
-        multithreaded parent can deadlock the child on a lock another
-        thread held at fork time.
-        """
-        self.workers[shard_id].close(force=True)
-        self._restarts[shard_id] += 1
-        self.metrics.ops.add("worker_restarts", 1)
-        self._spawn_worker_locked(shard_id, context=self._restart_ctx)
-
-    def _ensure_workers_alive_locked(self, shard_ids: Sequence[int]) -> None:
-        for shard_id in shard_ids:
-            if not self.workers[shard_id].alive:
-                self._restart_worker_locked(shard_id)
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-    def submit(self, ratings: Sequence[Rating]) -> int:
-        """Accept a batch; all involved workers must have queue room.
-
-        Durable mode returns only once every involved worker has
-        WAL-appended its sub-batch (durable-before-acknowledged).  A
-        batch rejected with :class:`BackpressureError` left no trace
-        anywhere and can be retried verbatim.  A batch that fails with
-        :class:`~repro.errors.WorkerCrashError` is different: sub-batches
-        other shards acknowledged before the crash are durably applied
-        (and counted), so retrying the whole batch verbatim would
-        double-count those events — at-least-once, not exactly-once.
-        """
-        batch = list(ratings)
-        if not batch:
-            return 0
-        started = time.perf_counter()
-        with self._ingest_lock:
-            if not self._started:
-                raise ServiceError("service is not running — call start()")
-            n = self.config.n
-            per_shard: Dict[int, List[EventTuple]] = {}
-            for event in batch:
-                if not isinstance(event, Rating):
-                    raise ServiceError(
-                        f"submit() takes Rating events, got {type(event).__name__}"
-                    )
-                if event.rater >= n or event.target >= n:
-                    raise UnknownNodeError(max(event.rater, event.target), n)
-                per_shard.setdefault(
-                    self.config.shard_of(event.target), []
-                ).append((event.rater, event.target, event.value, event.time))
-            self._ensure_workers_alive_locked(sorted(per_shard))
-            try:
-                for shard_id in per_shard:
-                    if not self.workers[shard_id].has_capacity():
-                        raise BackpressureError(
-                            shard_id, self.config.queue_capacity
-                        )
-            except BackpressureError:
-                self.metrics.ops.add("ingest_rejected_batches", 1)
-                self.metrics.ops.add("ingest_rejected_events", len(batch))
-                raise
-            durable = self.config.durable
-            for shard_id, sub_batch in per_shard.items():
-                self.workers[shard_id].enqueue(sub_batch, want_ack=durable)
-            if durable:
-                # Best-effort ack collection: if one worker crashes, the
-                # sub-batches the *other* shards acknowledged are already
-                # WAL-appended and applied — count them, then surface the
-                # crash.  The batch is therefore at-least-once under
-                # WorkerCrashError (see the exception's docstring); only
-                # BackpressureError guarantees zero trace.
-                crash: Optional[WorkerCrashError] = None
-                acked: List[int] = []
-                for shard_id in per_shard:
-                    try:
-                        self.workers[shard_id].wait_acks()
-                    except WorkerCrashError as exc:
-                        if crash is None:
-                            crash = exc
-                    else:
-                        acked.append(shard_id)
-                self.metrics.ops.add("wal_appends", len(acked))
-                if crash is not None:
-                    for shard_id in acked:
-                        sub_batch = per_shard[shard_id]
-                        self._accepted_per_shard[shard_id] += len(sub_batch)
-                        self._total_per_shard[shard_id] += len(sub_batch)
-                    raise crash
-            for shard_id, sub_batch in per_shard.items():
-                self._accepted_per_shard[shard_id] += len(sub_batch)
-                self._total_per_shard[shard_id] += len(sub_batch)
-            self.metrics.ops.add("ingest_batches", 1)
-            self.metrics.ops.add("ingest_events", len(batch))
-            self.metrics.ingest_latency.observe(time.perf_counter() - started)
-            if (
-                durable
-                and self.config.snapshot_every > 0
-                and self.epoch_events - self._last_snapshot_events
-                >= self.config.snapshot_every
-            ):
-                self._snapshot_locked()
-        return len(batch)
-
-    def submit_one(self, rater: int, target: int, value: int,
-                   time_stamp: float = 0.0) -> None:
-        """Convenience single-event ingest (validates via :class:`Rating`)."""
-        self.submit([Rating(rater=rater, target=target, value=value,
-                            time=time_stamp)])
-
-    def drain(self) -> None:
-        """Block until every accepted event has been applied.
-
-        A barrier command behind each worker's queued batches: after it
-        returns, queries reflect all prior :meth:`submit` calls.  Same
-        contract as :meth:`DetectionService.drain
-        <repro.service.coordinator.DetectionService.drain>`.
-        """
-        with self._ingest_lock:
-            if not self._started:
-                raise ServiceError("service is not running — call start()")
-            self._fanout_locked("barrier")
-
-    # ------------------------------------------------------------------
-    # period orchestration
-    # ------------------------------------------------------------------
-    def _fanout_locked(self, name: str, *args: object) -> List[object]:
-        """Issue one command to every worker, then collect all replies.
-
-        The issue-all-then-collect split is where multi-core pays off at
-        the period boundary: every worker drains its queue and runs the
-        command concurrently.
-
-        Every control-plane interaction passes through here, so this is
-        also where crashed workers get restarted: a worker that died
-        since the last interaction is respawned (durable workers from
-        their own snapshot + WAL) *before* the command goes out, which
-        keeps ``peek``/``end_period``/``drain`` available after a crash
-        instead of failing until the next submit happens to touch the
-        dead shard.
-
-        Collection is best-effort: a failure on one worker does not
-        abandon the replies the others already sent (uncollected replies
-        would surface as protocol errors on the next interaction).  The
-        first failure is re-raised once every live worker has been
-        drained.
-        """
-        self._ensure_workers_alive_locked(range(self.config.num_shards))
-        first_error: Optional[Exception] = None
-        seqs: List[Optional[int]] = []
-        for worker in self.workers:
-            try:
-                seqs.append(worker.start_call(name, *args))
-            except WorkerCrashError as exc:
-                seqs.append(None)
-                if first_error is None:
-                    first_error = exc
-        replies: List[object] = []
-        for worker, seq in zip(self.workers, seqs):
-            if seq is None:
-                replies.append(None)
-                continue
-            try:
-                replies.append(worker.finish_call(seq))
-            except ServiceError as exc:  # includes WorkerCrashError
-                replies.append(None)
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return replies
-
-    def _evaluate_locked(
-        self,
-    ) -> "Tuple[DetectionReport, npt.NDArray[np.float64]]":
-        """Drain, build the global gate, screen, and join — no mutation."""
-        gate = np.zeros(self.config.n, dtype=float)
-        for contribution in self._fanout_locked("reputation"):
-            gate += cast("npt.NDArray[np.float64]", contribution)
-
-        halves: List[HalfVerdict] = []
-        pass_operations: Dict[str, int] = {}
-        for reply in self._fanout_locked("candidates", gate):
-            shard_halves, ops_diff = cast(
-                "Tuple[List[HalfVerdict], Dict[str, int]]", reply
-            )
-            halves.extend(shard_halves)
-            for op_name, value in ops_diff.items():
-                pass_operations[op_name] = pass_operations.get(op_name, 0) + value
-
-        report = DetectionReport(
-            method="service",
-            examined_nodes=int((gate >= self.config.thresholds.t_r).sum()),
-        )
-        for pair in join_half_verdicts(halves):
-            report.add(pair)
-        report.operations = pass_operations
-        return report, gate
-
-    def peek(self) -> EpochResult:
-        """Evaluate the open epoch *without* closing it."""
-        with self._ingest_lock:
-            if not self._started:
-                raise ServiceError("service is not running — call start()")
-            report, _gate = self._evaluate_locked()
-            published = np.zeros(self.config.n, dtype=float)
-            for contribution in self._fanout_locked("cumulative"):
-                published += cast("npt.NDArray[np.float64]", contribution)
-            return EpochResult(
-                epoch=self._epoch,
-                report=report,
-                events=self.epoch_events,
-                reputation=published,
-            )
-
-    def collusion_graph(self, edge_floor: float = 0.5) -> Dict[str, object]:
-        """The live suspect graph + ring verdicts for the open epoch."""
-        with self._ingest_lock:
-            if not self._started:
-                raise ServiceError("service is not running — call start()")
-            gate = np.zeros(self.config.n, dtype=float)
-            for contribution in self._fanout_locked("reputation"):
-                gate += cast("npt.NDArray[np.float64]", contribution)
-
-            halves: List[HalfVerdict] = []
-            pair_counts: List[PairCount] = []
-            node_eff = np.zeros(self.config.n, dtype=np.int64)
-            node_pos = np.zeros(self.config.n, dtype=np.int64)
-            for reply in self._fanout_locked("graph", gate):
-                shard_halves, shard_counts, shard_eff, shard_pos = cast(
-                    "Tuple[List[HalfVerdict], List[PairCount], np.ndarray, np.ndarray]",
-                    reply,
-                )
-                halves.extend(shard_halves)
-                pair_counts.extend(shard_counts)
-                node_eff += shard_eff
-                node_pos += shard_pos
-
-            graph = SuspectGraph.build(
-                self.config.n, self.config.thresholds, halves, pair_counts,
-                gate, node_eff, node_pos, edge_floor=edge_floor,
-            )
-            report = RingDetector(self.config.thresholds).detect(graph)
-            self.metrics.ops.add("collusion_graph_queries", 1)
-            return {
-                "schema_version": 1,
-                "epoch": self._epoch,
-                "events": self.epoch_events,
-                "graph": graph.to_dict(),
-                "pairs": [[p.low, p.high] for p in report.pairs],
-                "groups": [g.to_dict() for g in report.groups],
-            }
-
-    def end_period(self) -> EpochResult:
-        """Close the current epoch and publish its verdicts.
-
-        Orchestration matches the thread service step for step; only
-        the commit differs: the coordinator meta is written (atomic
-        rename) *before* the workers reset/snapshot/rotate, and a
-        worker that crashes between the two performs the same epilogue
-        itself on restart (see the module docstring).
-        """
-        started = time.perf_counter()
-        with self._ingest_lock:
-            if not self._started:
-                raise ServiceError("service is not running — call start()")
-            report, _gate = self._evaluate_locked()
-
-            # Stage the new ops baselines; a fan-out that raises
-            # mid-loop must not leave half of them advanced (REP008).
-            new_baselines: Dict[int, Dict[str, int]] = {}
-            for shard_id, reply in enumerate(self._fanout_locked("ops")):
-                ops_now = cast(Dict[str, int], reply)
-                baseline = self._ops_baselines[shard_id]
-                self.metrics.merge_detector_ops({
-                    name: value - baseline.get(name, 0)
-                    for name, value in ops_now.items()
-                    if value - baseline.get(name, 0)
-                })
-                new_baselines[shard_id] = ops_now
-
-            published = np.zeros(self.config.n, dtype=float)
-            for contribution in self._fanout_locked("cumulative"):
-                published += cast("npt.NDArray[np.float64]", contribution)
-
-            result = EpochResult(
-                epoch=self._epoch,
-                report=report,
-                events=self.epoch_events,
-                reputation=published,
-            )
-            latest = result.to_dict()
-            # Commit: one non-raising tail.
-            for shard_id, ops in new_baselines.items():
-                self._ops_baselines[shard_id] = ops
-            self._published = published
-            self._latest_verdicts = latest
-            self._history.append(latest)
-            self._epoch += 1
-            self._accepted_per_shard = [0] * self.config.num_shards
-            self._last_snapshot_events = 0
-            self._last_close_error = None
-            self.metrics.ops.add("periods_closed", 1)
-            if len(report):
-                self.metrics.ops.add("detections", len(report))
-            if self._meta_path is not None:
-                self._write_meta_locked()      # commit point
-            # Past the commit point the close has happened: the epoch is
-            # durably published and this method must return the result,
-            # not an error an HTTP client would retry into closing a
-            # second, nearly-empty epoch.  A worker that fails here is
-            # restarted (recovering to the committed epoch by itself —
-            # advance is idempotent at the target) and the degradation
-            # is surfaced via status()/metrics instead of the caller.
-            try:
-                self._fanout_locked("advance", self._epoch)
-            except ServiceError as exc:
-                self._last_close_error = f"epoch {self._epoch - 1}: {exc}"
-                self.metrics.ops.add("end_period_degraded", 1)
-                try:
-                    self._ensure_workers_alive_locked(
-                        range(self.config.num_shards)
-                    )
-                except ServiceError:
-                    pass  # still dead — the next interaction retries
-            if self.config.durable:
-                self.metrics.ops.add("snapshots", self.config.num_shards)
-            self.metrics.end_period_latency.observe(time.perf_counter() - started)
-        return result
-
-    # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
-    def snapshot(self) -> None:
-        """Force a consistent snapshot across coordinator + workers."""
-        with self._ingest_lock:
-            if not self.config.durable:
-                raise ServiceError("snapshots need a data_dir (durable mode)")
-            self._snapshot_locked()
-
-    def _snapshot_locked(self) -> None:
-        """Per-worker snapshots + coordinator meta; caller holds the lock.
-
-        Each snapshot command is a barrier behind that worker's queued
-        batches, so the captured states are mutually consistent with
-        everything acknowledged so far.
-        """
-        self._fanout_locked("snapshot")
-        self._write_meta_locked()
-        self._last_snapshot_events = self.epoch_events
-        self.metrics.ops.add("snapshots", self.config.num_shards)
-
-    # ------------------------------------------------------------------
-    # queries (consistent reads under the re-entrant ingest lock)
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        with self._ingest_lock:
-            return self._epoch
-
-    @property
-    def epoch_events(self) -> int:
-        """Events accepted into the currently open epoch."""
-        with self._ingest_lock:
-            return sum(self._accepted_per_shard)
-
-    @property
-    def total_events(self) -> int:
-        with self._ingest_lock:
-            return sum(self._total_per_shard)
-
-    def reputation_of(self, node: int, live: bool = False) -> float:
-        """Published cumulative reputation of ``node``.
-
-        ``live=True`` round-trips to the owning worker (a barrier
-        behind its queue) instead of reading the last published value.
-        """
-        if not 0 <= node < self.config.n:
-            raise UnknownNodeError(node, self.config.n)
-        if live:
-            with self._ingest_lock:
-                shard_id = self.config.shard_of(node)
-                self._ensure_workers_alive_locked([shard_id])
-                worker = self.workers[shard_id]
-                return cast(float, worker.call("cumulative_of", node))
-        with self._ingest_lock:
-            return float(self._published[node])
-
-    def suspects(self) -> Dict[str, object]:
-        """Latest epoch's published verdicts (epoch ``-1`` = none yet)."""
-        with self._ingest_lock:
-            return dict(self._latest_verdicts)
-
-    def history(self) -> List[Dict[str, object]]:
-        """Verdicts of every epoch closed by this process, oldest first."""
-        with self._ingest_lock:
-            return list(self._history)
-
-    def export_shard_states(self) -> List[Dict[str, object]]:
-        """Every worker's exported detector + cumulative state.
-
-        Byte-comparable (canonical JSON) with the thread service's
-        per-shard exports — the equivalence tests' instrument.
-        """
-        with self._ingest_lock:
-            return [cast(Dict[str, object], state)
-                    for state in self._fanout_locked("export")]
-
-    def epoch_wal_events(self) -> List[Rating]:
-        """The open epoch's accepted events, re-read from worker WALs.
-
-        The replay/audit instrument (``repro replay --verify``): in
-        durable mode every acknowledged batch is already in its
-        worker's ``shard-NN/wal`` segment, so with ingest quiesced the
-        concatenation over workers is exactly the epoch's accepted
-        stream.  Order across shards is arbitrary; the batch
-        cross-check only folds events into a commutative count matrix.
-        """
-        if not self.config.durable:
-            raise ServiceError("WAL replay needs a data_dir (durable mode)")
-        data_dir = pathlib.Path(cast(pathlib.Path, self.config.data_dir))
-        with self._ingest_lock:
-            events: List[Rating] = []
-            for shard_id in range(self.config.num_shards):
-                wal = WriteAheadLog(shard_data_dir(data_dir, shard_id) / "wal")
-                events.extend(wal.replay(self._epoch, n=self.config.n))
-            return events
-
-    def status(self) -> Dict[str, object]:
-        """Health document for ``GET /healthz``.
-
-        The per-worker block is parent-tracked (pid, liveness, queue
-        depth, restart count) read under the (re-entrant) ingest lock —
-        a consistent view with no worker round-trips, so ``/healthz``
-        stays responsive even when every queue is saturated.
-        """
-        with self._ingest_lock:
-            return {
-                "status": "ok" if self._started else "stopped",
-                "mode": "process",
-                "epoch": self._epoch,
-                "epoch_events": self.epoch_events,
-                "total_events": self.total_events,
-                "shards": self.config.num_shards,
-                "queue_depths": [w.queue_depth() for w in self.workers],
-                "durable": self.config.durable,
-                "last_close_error": self._last_close_error,
-                "workers": [
-                    {
-                        "shard": worker.shard_id,
-                        "pid": worker.pid,
-                        "alive": worker.alive,
-                        "queue_depth": worker.queue_depth(),
-                        "epoch_events":
-                            self._accepted_per_shard[worker.shard_id],
-                        "restarts": self._restarts[worker.shard_id],
-                        "restart_ms":
-                            worker.ready_status.get("restart_ms", 0.0),
-                    }
-                    for worker in self.workers
-                ],
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        with self._ingest_lock:
-            return (
-                f"ProcessDetectionService(n={self.config.n}, "
-                f"workers={self.config.num_shards}, epoch={self._epoch}, "
-                f"events={self.total_events})"
-            )
+    transport = ProcessShardWorker
+    mode = "process"

@@ -1,12 +1,13 @@
 """Atomic JSON snapshots of the service's sharded state.
 
-A snapshot captures, at a consistent point (all shard queues drained,
-ingest paused): the epoch number, how many of the current epoch's WAL
-events are already folded into the shard counters (``wal_applied``),
-every shard's detector + cumulative-reputation state, and the last
-published verdicts.  Restart = load latest snapshot, then replay the
-WAL tail ``[wal_applied, ...)`` — provably reaching the same counters
-and verdicts as an uninterrupted run (property-tested).
+A shard snapshot captures, at a consistent point (the shard's queue
+drained): the epoch number, how many of the current epoch's WAL events
+are already folded into the shard counters (``wal_applied``), and the
+shard's detector + cumulative-reputation state.  Restart = load latest
+snapshot, then replay the WAL tail ``[wal_applied, ...)`` — provably
+reaching the same counters and verdicts as an uninterrupted run
+(property-tested).  The coordinator's ``meta.json`` (epoch, published
+reputations, latest verdicts) is the epoch commit point.
 
 Files are written to a temporary name and atomically renamed, so a
 crash mid-write can never leave a torn snapshot as the latest one.
@@ -25,26 +26,18 @@ from repro.errors import RecoveryError
 from repro.ratings.backends import IntArray, map_image, write_image
 
 __all__ = ["SnapshotStore", "StateImageStore", "SNAPSHOT_FORMAT",
-           "META_FORMAT", "write_meta", "read_meta"]
+           "META_FORMAT", "write_json", "read_json", "persisted_int"]
 
 #: Bumped whenever the snapshot layout changes incompatibly.
 SNAPSHOT_FORMAT = 1
 
-#: Bumped whenever the process-mode coordinator meta layout changes
-#: incompatibly (see ``repro.service.process``).
+#: Bumped whenever the coordinator meta layout changes incompatibly
+#: (see ``repro.service.coordinator``).
 META_FORMAT = 1
 
 
-def write_meta(path: pathlib.Path, state: Dict[str, object]) -> None:
-    """Atomically persist the process-mode coordinator meta document.
-
-    Stamps ``format`` with :data:`META_FORMAT` and writes via
-    tmp + fsync + rename, so the epoch commit point
-    (``ProcessDetectionService.end_period``) can never leave a torn
-    ``meta.json``.
-    """
-    payload = dict(state)
-    payload["format"] = META_FORMAT
+def write_json(path: pathlib.Path, payload: Dict[str, object]) -> None:
+    """Write ``payload`` via tmp + fsync + atomic rename."""
     tmp = path.with_suffix(".json.tmp")
     with tmp.open("w") as handle:
         json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
@@ -53,35 +46,51 @@ def write_meta(path: pathlib.Path, state: Dict[str, object]) -> None:
     os.replace(tmp, path)
 
 
-def read_meta(path: pathlib.Path) -> Optional[Dict[str, object]]:
-    """Load a coordinator meta document, or ``None`` when absent.
-
-    Validates only the envelope (readable JSON object of the supported
-    :data:`META_FORMAT`); field-level validation against the live
-    configuration belongs to the caller.
-    """
-    if not path.exists():
-        return None
+def read_json(path: pathlib.Path, what: str,
+              version: int) -> Dict[str, object]:
+    """Load a JSON object stamped ``format == version``."""
     try:
         with path.open() as handle:
-            meta = json.load(handle)
+            document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
+        raise RecoveryError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(document, dict):
+        raise RecoveryError(f"{what} {path} is not a JSON object")
+    if document.get("format") != version:
         raise RecoveryError(
-            f"cannot read coordinator meta {path}: {exc}"
-        ) from None
-    if not isinstance(meta, dict) or meta.get("format") != META_FORMAT:
-        raise RecoveryError(
-            f"coordinator meta {path} has format "
-            f"{meta.get('format') if isinstance(meta, dict) else '?'!r}, "
-            f"this build reads format {META_FORMAT}"
+            f"{what} {path} has format {document.get('format')!r}, "
+            f"this build reads format {version}"
         )
-    return cast(Dict[str, object], meta)
-
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})-(\d{10})\.json$")
+    return cast(Dict[str, object], document)
 
 
-class SnapshotStore:
-    """Writes, lists, prunes and loads snapshot files in one directory."""
+def persisted_int(state: Dict[str, object], key: str) -> int:
+    """Integer field of a persisted document (bools are not positions)."""
+    value = state.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RecoveryError(
+            f"persisted field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _position(state: Dict[str, object]) -> Tuple[int, int]:
+    epoch = state["epoch"]
+    wal_applied = state["wal_applied"]
+    if not isinstance(epoch, int) or not isinstance(wal_applied, int):
+        raise RecoveryError(
+            f"snapshot state needs integer epoch/wal_applied, got "
+            f"{epoch!r}/{wal_applied!r}"
+        )
+    return epoch, wal_applied
+
+
+class _PositionStore:
+    """Files named by ``(epoch, wal_applied)`` in one directory, pruned
+    to the ``keep`` most recent."""
+
+    prefix = ""
+    suffix = ""
 
     def __init__(self, directory: Union[str, pathlib.Path],
                  keep: int = 3) -> None:
@@ -90,9 +99,38 @@ class SnapshotStore:
         if keep < 1:
             raise RecoveryError(f"keep must be >= 1, got {keep}")
         self.keep = keep
+        self._pattern = re.compile(
+            rf"^{self.prefix}-(\d{{8}})-(\d{{10}}){re.escape(self.suffix)}$"
+        )
 
     def path_for(self, epoch: int, wal_applied: int) -> pathlib.Path:
-        return self.directory / f"snapshot-{epoch:08d}-{wal_applied:010d}.json"
+        return self.directory / (
+            f"{self.prefix}-{epoch:08d}-{wal_applied:010d}{self.suffix}"
+        )
+
+    def list(self) -> List[Tuple[int, int, pathlib.Path]]:
+        """All files as ``(epoch, wal_applied, path)``, ascending.
+
+        The greatest position is the latest — exactly the write order,
+        because the service only persists advancing positions.
+        """
+        out: List[Tuple[int, int, pathlib.Path]] = []
+        for entry in self.directory.iterdir():
+            match = self._pattern.match(entry.name)
+            if match:
+                out.append((int(match.group(1)), int(match.group(2)), entry))
+        return sorted(out)
+
+    def _prune(self) -> None:
+        for _, _, path in self.list()[: -self.keep]:
+            path.unlink(missing_ok=True)
+
+
+class SnapshotStore(_PositionStore):
+    """Writes, lists, prunes and loads snapshot files in one directory."""
+
+    prefix = "snapshot"
+    suffix = ".json"
 
     def save(self, state: Dict[str, object]) -> pathlib.Path:
         """Atomically persist ``state`` and prune old snapshots.
@@ -100,93 +138,33 @@ class SnapshotStore:
         ``state`` must carry integer ``epoch`` and ``wal_applied`` keys;
         the pair orders snapshots and names the file.
         """
-        epoch = state["epoch"]
-        wal_applied = state["wal_applied"]
-        if not isinstance(epoch, int) or not isinstance(wal_applied, int):
-            raise RecoveryError(
-                f"snapshot state needs integer epoch/wal_applied, got "
-                f"{epoch!r}/{wal_applied!r}"
-            )
-        payload = dict(state)
-        payload["format"] = SNAPSHOT_FORMAT
-        final = self.path_for(epoch, wal_applied)
-        tmp = final.with_suffix(".json.tmp")
-        with tmp.open("w") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
+        final = self.path_for(*_position(state))
+        write_json(final, {**state, "format": SNAPSHOT_FORMAT})
         self._prune()
         return final
 
-    def list(self) -> List[Tuple[int, int, pathlib.Path]]:
-        """All snapshots as ``(epoch, wal_applied, path)``, ascending."""
-        out: List[Tuple[int, int, pathlib.Path]] = []
-        for entry in self.directory.iterdir():
-            match = _SNAPSHOT_RE.match(entry.name)
-            if match:
-                out.append((int(match.group(1)), int(match.group(2)), entry))
-        return sorted(out)
-
     def load_latest(self) -> Optional[Dict[str, object]]:
-        """The most recent snapshot's state, or ``None`` if there is none.
-
-        "Most recent" is the lexicographically greatest
-        ``(epoch, wal_applied)`` — exactly the write order, because the
-        service only snapshots with monotonically advancing positions.
-        """
+        """The most recent snapshot's state, or ``None`` if there is none."""
         snapshots = self.list()
         if not snapshots:
             return None
-        _, _, path = snapshots[-1]
-        try:
-            with path.open() as handle:
-                state = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RecoveryError(f"cannot read snapshot {path}: {exc}") from None
-        if not isinstance(state, dict):
-            raise RecoveryError(f"snapshot {path} is not a JSON object")
-        if state.get("format") != SNAPSHOT_FORMAT:
-            raise RecoveryError(
-                f"snapshot {path} has format {state.get('format')!r}, "
-                f"this build reads format {SNAPSHOT_FORMAT}"
-            )
-        return cast(Dict[str, object], state)
-
-    def _prune(self) -> None:
-        snapshots = self.list()
-        for _, _, path in snapshots[: -self.keep]:
-            path.unlink(missing_ok=True)
+        return read_json(snapshots[-1][2], "snapshot", SNAPSHOT_FORMAT)
 
 
-_IMAGE_RE = re.compile(r"^image-(\d{8})-(\d{10})\.repm$")
-
-
-class StateImageStore:
+class StateImageStore(_PositionStore):
     """The binary twin of :class:`SnapshotStore` for the mmap backend.
 
-    Instead of a JSON document per ``(epoch, wal_applied)`` position, a
-    worker publishes one ``image-EEEEEEEE-WWWWWWWWWW.repm`` file — the
-    schema-versioned container of :func:`repro.ratings.backends.write_image`
-    holding the detector's pair/node counters and the cumulative
-    reputation totals as raw ``int64`` segments.  Recovery maps the
-    latest image in O(1) (``mmap`` + ``np.frombuffer``) rather than
-    parsing and re-inserting state, which is what makes shard-worker
-    restarts independent of accumulated state size.  The same atomic
-    tmp + fsync + rename publish discipline applies, inside
-    ``write_image``.
+    One ``image-EEEEEEEE-WWWWWWWWWW.repm`` file per position: the
+    :func:`repro.ratings.backends.write_image` container (atomic tmp +
+    fsync + rename) of the detector's pair/node counters and the
+    cumulative reputation as raw ``int64`` segments.  Recovery maps the
+    latest image in O(1) (``mmap`` + ``np.frombuffer``) instead of
+    parsing and re-inserting state, so shard restarts do not grow with
+    accumulated state.
     """
 
-    def __init__(self, directory: Union[str, pathlib.Path],
-                 keep: int = 3) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if keep < 1:
-            raise RecoveryError(f"keep must be >= 1, got {keep}")
-        self.keep = keep
-
-    def path_for(self, epoch: int, wal_applied: int) -> pathlib.Path:
-        return self.directory / f"image-{epoch:08d}-{wal_applied:010d}.repm"
+    prefix = "image"
+    suffix = ".repm"
 
     def save(self, arrays: Dict[str, IntArray],
              meta: Dict[str, object]) -> pathlib.Path:
@@ -195,25 +173,9 @@ class StateImageStore:
         ``meta`` must carry integer ``epoch`` and ``wal_applied`` keys;
         the pair orders images and names the file.
         """
-        epoch = meta["epoch"]
-        wal_applied = meta["wal_applied"]
-        if not isinstance(epoch, int) or not isinstance(wal_applied, int):
-            raise RecoveryError(
-                f"image meta needs integer epoch/wal_applied, got "
-                f"{epoch!r}/{wal_applied!r}"
-            )
-        final = write_image(self.path_for(epoch, wal_applied), arrays, meta)
+        final = write_image(self.path_for(*_position(meta)), arrays, meta)
         self._prune()
         return final
-
-    def list(self) -> List[Tuple[int, int, pathlib.Path]]:
-        """All images as ``(epoch, wal_applied, path)``, ascending."""
-        out: List[Tuple[int, int, pathlib.Path]] = []
-        for entry in self.directory.iterdir():
-            match = _IMAGE_RE.match(entry.name)
-            if match:
-                out.append((int(match.group(1)), int(match.group(2)), entry))
-        return sorted(out)
 
     def load_latest(self) -> Optional[Tuple[Dict[str, IntArray],
                                             Dict[str, object], mmap.mmap]]:
@@ -227,13 +189,8 @@ class StateImageStore:
         images = self.list()
         if not images:
             return None
-        _, _, path = images[-1]
+        path = images[-1][2]
         try:
             return map_image(path)
         except Exception as exc:
             raise RecoveryError(f"cannot map image {path}: {exc}") from None
-
-    def _prune(self) -> None:
-        images = self.list()
-        for _, _, path in images[: -self.keep]:
-            path.unlink(missing_ok=True)

@@ -1,52 +1,29 @@
-"""Process shard worker: one OS process owning one partition's state.
+"""The subprocess shard transport: one OS process per shard.
 
-The process-per-shard service (:mod:`repro.service.process`) replaces
-the GIL-bound thread workers with real processes.  The division of
-labour mirrors :mod:`repro.service.shard` exactly — the stream is still
-partitioned by ``target % num_shards``, so each worker screens its own
-targets with zero cross-worker synchronization — but state now lives in
-a child process and the control plane crosses a pipe:
-
-* **Data plane** — the parent enqueues rating batches (as plain tuples,
-  cheap to pickle) on a bounded ``multiprocessing.Queue``.  A full
-  queue is explicit backpressure, surfaced to HTTP as ``429`` +
-  ``Retry-After``.  In durable mode the child appends each batch to its
-  *own* WAL segment before acknowledging, so a batch the parent has
-  acknowledged survives any crash of either side.
-* **Control plane** — commands travel on the same queue and are
-  therefore barriers: a command's reply proves every batch enqueued
-  before it has been applied (the same FIFO trick the thread worker
-  plays with its ``_Command`` thunks).  Thunks do not pickle, so the
-  protocol is a fixed named-command vocabulary (``reputation``,
-  ``candidates``, ``advance``, ``snapshot``, …) dispatched by
-  :class:`_WorkerState`.
-* **Durability** — each worker owns a full WAL + snapshot tree under
-  ``data_dir/shard-NN/`` (the same :class:`WriteAheadLog` /
-  :class:`SnapshotStore` machinery the single-process service uses) and
-  performs its *own* recovery on startup: load the latest snapshot,
-  replay the current epoch's WAL tail through the same ``apply()`` code
-  path, then catch up to the coordinator's committed epoch
-  (``meta.json``) if a crash interrupted a period close after the
-  commit point.  Restart-from-WAL is therefore a plain respawn.
-
-The parent-side handle (:class:`ProcessShardWorker`) is *not*
-thread-safe on its own — the service serializes every interaction under
-its ingest lock, exactly as it does for thread shards.
+:class:`ProcessShardWorker` implements
+:class:`~repro.service.coordinator.ShardTransport` for
+:class:`~repro.service.process.ProcessDetectionService`, so ingest and
+screening scale past the GIL.  The child runs the same
+:class:`~repro.service.shard.ShardState` as the in-thread transport;
+only the hops differ.  Rating batches travel as plain tuples (cheap to
+pickle) on a bounded ``multiprocessing.Queue`` — a full queue is
+explicit backpressure — and durable batches are acknowledged on the
+reply pipe once WAL-appended.  Named commands ride the same queue, so
+each reply is a barrier.  Every reply wait polls the child's liveness
+and gives up after ``worker_timeout_s``
+(:class:`~repro.errors.WorkerCrashError`).  The handle is not
+thread-safe on its own: the coordinator's ingest lock serializes it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pathlib
 import queue as queue_module
 import time
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Tuple, cast
+from multiprocessing.process import BaseProcess
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
-import numpy as np
-
-from repro.core.model import HalfVerdict
 from repro.errors import (
     BackpressureError,
     RecoveryError,
@@ -54,11 +31,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.ratings.events import Rating
-from repro.reputation.summation import SummationState
 from repro.service.config import ServiceConfig
-from repro.service.shard import ShardWorker
-from repro.service.snapshot import SnapshotStore, StateImageStore
-from repro.service.wal import WriteAheadLog
+from repro.service.shard import ShardState, shard_data_dir
 
 __all__ = ["ProcessShardWorker", "shard_data_dir"]
 
@@ -86,332 +60,24 @@ _RESTART_METHOD = next(
 )
 
 
-def shard_data_dir(data_dir: pathlib.Path, shard_id: int) -> pathlib.Path:
-    """Per-worker durability root: ``<data_dir>/shard-NN``."""
-    return data_dir / f"shard-{shard_id:02d}"
-
-
-def _thresholds_signature(config: ServiceConfig) -> List[object]:
-    th = config.thresholds
-    return [th.t_r, th.t_a, th.t_b, th.t_n, config.multi_booster_exclusion]
-
-
-# ----------------------------------------------------------------------
-# child side
-# ----------------------------------------------------------------------
-class _WorkerState:
-    """Everything the child process owns: detector, WAL, snapshots.
-
-    Runs single-threaded inside the worker process; reuses
-    :class:`ShardWorker` purely as the (never-started) state container
-    so live ingest, WAL replay and the thread service all share one
-    ``apply()`` code path.
-    """
-
-    def __init__(self, shard_id: int, config: ServiceConfig,
-                 meta_epoch: int) -> None:
-        self.shard_id = shard_id
-        self.config = config
-        self.meta_epoch = meta_epoch
-        self.shard = ShardWorker(shard_id, config)
-        self.epoch = 0
-        self.epoch_events = 0
-        self.total_events = 0
-        self.replayed = 0
-        self.restart_ms = 0.0
-        self.wal: Optional[WriteAheadLog] = None
-        self.snapshots: Optional[SnapshotStore] = None
-        self.images: Optional[StateImageStore] = None
-        if config.durable:
-            base = shard_data_dir(
-                pathlib.Path(cast(pathlib.Path, config.data_dir)), shard_id
-            )
-            self.wal = WriteAheadLog(base / "wal", fsync=config.fsync)
-            self.snapshots = SnapshotStore(
-                base / "snapshots", keep=config.keep_snapshots
-            )
-            if config.matrix_backend == "mmap":
-                # mmap mode swaps the JSON state document for a binary
-                # image: snapshots publish int64 segments, recovery maps
-                # them back without parsing (see StateImageStore).
-                self.images = StateImageStore(
-                    base / "images", keep=config.keep_snapshots
-                )
-
-    # -- recovery ------------------------------------------------------
-    def recover(self) -> None:
-        """Snapshot + WAL-tail recovery, then coordinator catch-up.
-
-        The wall-clock cost of the whole sequence is recorded as
-        ``restart_ms`` and surfaced through ``status()`` — the number
-        the mmap backend exists to shrink.
-        """
-        started = time.perf_counter()
-        try:
-            self._recover()
-        finally:
-            self.restart_ms = (time.perf_counter() - started) * 1000.0
-
-    def _check_compat(self, state: Dict[str, object], what: str) -> None:
-        """Reject persisted state from an incompatible configuration."""
-        if state.get("n") != self.config.n:
-            raise RecoveryError(
-                f"shard {self.shard_id} {what} universe n={state['n']} "
-                f"!= configured n={self.config.n}"
-            )
-        if state.get("num_shards") != self.config.num_shards:
-            raise RecoveryError(
-                f"shard {self.shard_id} {what} has "
-                f"{state['num_shards']} shards, configured "
-                f"{self.config.num_shards} — repartitioning requires an "
-                f"offline replay, not a restart"
-            )
-        if state.get("thresholds") != _thresholds_signature(self.config):
-            raise RecoveryError(
-                f"shard {self.shard_id} {what} thresholds "
-                f"{state['thresholds']} != configured "
-                f"{_thresholds_signature(self.config)}"
-            )
-
-    def _recover(self) -> None:
-        if self.wal is None or self.snapshots is None:
-            # Nothing durable to recover: an ephemeral (re)start joins
-            # the coordinator's current epoch with empty counters.
-            self.epoch = self.meta_epoch
-            return
-        restored = False
-        if self.images is not None:
-            image = self.images.load_latest()
-            if image is not None:
-                arrays, meta, mapping = image
-                self._check_compat(meta, "image")
-                if meta.get("shard_id") != self.shard_id:
-                    raise RecoveryError(
-                        f"shard {self.shard_id} found an image for shard "
-                        f"{meta.get('shard_id')!r} in its data dir"
-                    )
-                self.epoch = self._snapshot_int(meta, "epoch")
-                self.epoch_events = self._snapshot_int(meta, "wal_applied")
-                self.total_events = self._snapshot_int(meta, "total_events")
-                self.shard.detector.restore_arrays(
-                    arrays, self._snapshot_int(meta, "events")
-                )
-                self.shard.cumulative = SummationState.from_arrays(
-                    self.config.n, arrays["cum_pos"], arrays["cum_neg"]
-                )
-                # Restore copies everything it keeps, so the mapping can
-                # be released immediately.
-                del arrays
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - defensive
-                    pass
-                restored = True
-        if not restored:
-            # JSON path: either the configured mode, or the migration
-            # fallback when mmap mode starts over a JSON-era data dir.
-            state = self.snapshots.load_latest()
-            if state is not None:
-                self._check_compat(state, "snapshot")
-                self.epoch = self._snapshot_int(state, "epoch")
-                self.epoch_events = self._snapshot_int(state, "wal_applied")
-                self.total_events = self._snapshot_int(state, "total_events")
-                self.shard.restore_state(
-                    cast(Dict[str, object], state["shard"])
-                )
-        # Replay the current epoch's WAL tail through apply() — the
-        # same code path as live ingestion.
-        replayed = 0
-        for rating in self.wal.replay(
-            self.epoch, skip=self.epoch_events, n=self.config.n
-        ):
-            self.shard.apply([rating])
-            replayed += 1
-        self.epoch_events += replayed
-        self.total_events += replayed
-        self.replayed = replayed
-        # Catch up to a period close that committed (meta.json written)
-        # before this worker advanced: the close's verdicts are already
-        # published, so the idempotent remainder is reset + snapshot +
-        # rotate.  A worker can be at most one epoch behind — ingest
-        # never resumes until every worker has advanced.
-        if self.epoch > self.meta_epoch:
-            raise RecoveryError(
-                f"shard {self.shard_id} is at epoch {self.epoch}, ahead of "
-                f"the coordinator's committed epoch {self.meta_epoch} — "
-                f"the data dir is inconsistent"
-            )
-        while self.epoch < self.meta_epoch:
-            self.advance(self.epoch + 1)
-        self.wal.open_epoch(self.epoch)
-        self.snapshot()
-
-    @staticmethod
-    def _snapshot_int(state: Dict[str, object], key: str) -> int:
-        value = state.get(key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise RecoveryError(
-                f"snapshot field {key!r} must be an integer, got {value!r}"
-            )
-        return value
-
-    # -- data plane ----------------------------------------------------
-    def apply_events(self, events: List[EventTuple]) -> None:
-        """WAL-append (durable) then fold a batch into the counters."""
-        if self.wal is not None:
-            ratings = [
-                Rating(rater, target, value, time=when)
-                for rater, target, value, when in events
-            ]
-            self.wal.append(ratings)
-            self.shard.apply(ratings)
-        else:
-            observe = self.shard.detector.observe
-            cumulative_observe = self.shard.cumulative.observe
-            for rater, target, value, _when in events:
-                observe(rater, target, value)
-                cumulative_observe(target, value)
-        self.epoch_events += len(events)
-        self.total_events += len(events)
-
-    # -- control plane -------------------------------------------------
-    def status(self) -> Dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "pid": os.getpid(),
-            "epoch": self.epoch,
-            "epoch_events": self.epoch_events,
-            "total_events": self.total_events,
-            "replayed": self.replayed,
-            "restart_ms": round(self.restart_ms, 3),
-        }
-
-    def reputation(self) -> "np.ndarray":
-        return self.shard.detector.period_reputation()
-
-    def candidates(
-        self, gate: "np.ndarray"
-    ) -> Tuple[List[HalfVerdict], Dict[str, int]]:
-        before = self.shard.detector.ops.snapshot()
-        found = self.shard.detector.period_candidates(reputation=gate)
-        return found, self.shard.detector.ops.diff(before)
-
-    def graph_export(
-        self, gate: "np.ndarray"
-    ) -> Tuple[List[HalfVerdict], List[Tuple[int, int, int, int]],
-               "np.ndarray", "np.ndarray"]:
-        return (
-            self.shard.detector.period_candidates(reputation=gate),
-            self.shard.detector.pair_counts(),
-            *self.shard.detector.node_counters(),
-        )
-
-    def cumulative(self) -> "np.ndarray":
-        return self.shard.cumulative.reputation()
-
-    def cumulative_of(self, node: int) -> float:
-        return float(self.shard.cumulative.reputation_of(node))
-
-    def ops_snapshot(self) -> Dict[str, int]:
-        return self.shard.detector.ops.snapshot()
-
-    def export(self) -> Dict[str, object]:
-        return self.shard.export_state()
-
-    def advance(self, new_epoch: int) -> Dict[str, object]:
-        """Period-close epilogue: reset, snapshot the new epoch, rotate.
-
-        Idempotent at the target epoch: a worker that crashed after the
-        coordinator's meta commit re-runs this epilogue during its own
-        recovery, so the coordinator's subsequent ``advance`` finds it
-        already there and must be a no-op, not an error.
-        """
-        if new_epoch == self.epoch:
-            return self.status()
-        if new_epoch != self.epoch + 1:
-            raise ServiceError(
-                f"shard {self.shard_id} asked to advance from epoch "
-                f"{self.epoch} to {new_epoch} (must be consecutive)"
-            )
-        self.shard.detector.reset_period()
-        self.epoch = new_epoch
-        self.epoch_events = 0
-        if self.wal is not None:
-            self.snapshot()
-            self.wal.rotate(self.epoch)
-        return self.status()
-
-    def snapshot(self) -> None:
-        if self.snapshots is None:
-            raise ServiceError("snapshots need a data_dir (durable mode)")
-        if self.images is not None:
-            detector = self.shard.detector
-            arrays = detector.export_arrays()
-            cumulative = self.shard.cumulative.export_arrays()
-            arrays["cum_pos"] = cumulative["pos"]
-            arrays["cum_neg"] = cumulative["neg"]
-            self.images.save(arrays, {
-                "kind": "shard-state",
-                "shard_id": self.shard_id,
-                "epoch": self.epoch,
-                "wal_applied": self.epoch_events,
-                "total_events": self.total_events,
-                "events": detector.events_this_period,
-                "n": self.config.n,
-                "num_shards": self.config.num_shards,
-                "thresholds": _thresholds_signature(self.config),
-            })
-            return
-        self.snapshots.save({
-            "epoch": self.epoch,
-            "wal_applied": self.epoch_events,
-            "total_events": self.total_events,
-            "n": self.config.n,
-            "num_shards": self.config.num_shards,
-            "thresholds": _thresholds_signature(self.config),
-            "shard": self.shard.export_state(),
-        })
-
-    def close(self) -> None:
-        if self.wal is not None:
-            self.wal.close()
-
-    def dispatch(self, name: str, args: Tuple[Any, ...]) -> Any:
-        handler = {
-            "barrier": lambda: None,
-            "status": self.status,
-            "reputation": self.reputation,
-            "candidates": self.candidates,
-            "graph": self.graph_export,
-            "cumulative": self.cumulative,
-            "cumulative_of": self.cumulative_of,
-            "ops": self.ops_snapshot,
-            "export": self.export,
-            "advance": self.advance,
-            "snapshot": self.snapshot,
-        }.get(name)
-        if handler is None:
-            raise ServiceError(f"unknown worker command {name!r}")
-        return handler(*args)
-
-
 def _worker_main(shard_id: int, config: ServiceConfig, meta_epoch: int,
                  commands: "multiprocessing.Queue[Any]",
                  replies: Connection) -> None:
     """Child entrypoint: recover, then serve the command loop forever."""
     try:
-        state = _WorkerState(shard_id, config, meta_epoch)
-        state.recover()
+        state = ShardState(shard_id, config)
+        ready = state.recover(meta_epoch)
     except BaseException as exc:  # surfaced to the parent, then exit
         replies.send(("fatal", f"{type(exc).__name__}: {exc}"))
         return
-    replies.send(("ready", state.status()))
+    replies.send(("ready", ready))
     while True:
         message = commands.get()
         kind = message[0]
         if kind == "apply":
             _, events, want_ack = message
-            state.apply_events(events)
+            state.apply([Rating(rater, target, value, time=when)
+                         for rater, target, value, when in events])
             if want_ack:
                 replies.send(("ack", len(events)))
         elif kind == "call":
@@ -434,45 +100,52 @@ def _worker_main(shard_id: int, config: ServiceConfig, meta_epoch: int,
 # parent side
 # ----------------------------------------------------------------------
 class ProcessShardWorker:
-    """Parent-side handle on one shard worker process.
+    """Parent-side handle on one shard worker process (see the module
+    docstring: one queue for data and control, a reply pipe, no lock)."""
 
-    Owns the bounded command queue (data + control, so control messages
-    double as barriers), the reply pipe, and crash detection.  All
-    interaction is serialized by the service's ingest lock; nothing
-    here takes its own lock.
-    """
-
-    def __init__(self, shard_id: int, config: ServiceConfig,
-                 meta_epoch: int = 0,
-                 context: Optional[multiprocessing.context.BaseContext] = None,
-                 ) -> None:
+    def __init__(self, shard_id: int, config: ServiceConfig) -> None:
         self.shard_id = shard_id
         self.config = config
-        ctx = context if context is not None \
-            else multiprocessing.get_context(_START_METHOD)
+        self.ready_status: Dict[str, object] = {}
+        self.process: Optional[BaseProcess] = None
+        self._seq = 0
+        self._acks_pending = 0
+
+    # -- lifecycle -----------------------------------------------------
+    @property
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
+
+    @property
+    def pid(self) -> Optional[int]:
+        return None if self.process is None else self.process.pid
+
+    def start(self, meta_epoch: int = 0,
+              method: str = _START_METHOD) -> Dict[str, object]:
+        """Spawn the child; it recovers, then reports ready."""
+        ctx = multiprocessing.get_context(method)
         self.queue: "multiprocessing.Queue[Any]" = ctx.Queue(
-            maxsize=config.queue_capacity
+            maxsize=self.config.queue_capacity
         )
         self._recv, self._send = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(shard_id, config, meta_epoch, self.queue, self._send),
-            name=f"repro-shard-{shard_id}",
+            args=(self.shard_id, self.config, meta_epoch, self.queue,
+                  self._send),
+            name=f"repro-shard-{self.shard_id}",
             daemon=True,
         )
         self.process.start()
         self._seq = 0
         self._acks_pending = 0
         self.ready_status = self._wait_ready()
+        return self.ready_status
 
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid
+    def restart(self, meta_epoch: int) -> Dict[str, object]:
+        """Replace a dead worker through :data:`_RESTART_METHOD` (never
+        ``fork``); durable workers recover from their WAL."""
+        self.close()
+        return self.start(meta_epoch, _RESTART_METHOD)
 
     def _wait_ready(self) -> Dict[str, object]:
         try:
@@ -481,37 +154,28 @@ class ProcessShardWorker:
             raise RecoveryError(
                 f"shard {self.shard_id} worker died during startup"
             ) from None
-        kind = message[0]
-        if kind == "fatal":
-            detail = message[1]
-            self.close(force=True)
+        if message[0] != "ready":  # ("fatal", detail)
             raise RecoveryError(
-                f"shard {self.shard_id} worker failed to start: {detail}"
-            )
-        if kind != "ready":
-            raise ServiceError(
-                f"shard {self.shard_id} protocol error: expected ready, "
-                f"got {kind!r}"
+                f"shard {self.shard_id} worker failed to start: {message[1]}"
             )
         return cast(Dict[str, object], message[1])
 
-    def stop(self) -> Dict[str, object]:
-        """Graceful drain: every queued batch is applied, then exit."""
-        status = cast(Dict[str, object], self.call("stop"))
-        self.process.join(timeout=self.config.worker_timeout_s)
-        self.close(force=False)
-        return status
+    def stop(self) -> None:
+        """Graceful drain: every queued batch is applied, then exit (a
+        dead worker is only released)."""
+        if self.alive:
+            self.call("stop")
+            assert self.process is not None
+            self.process.join(timeout=self.config.worker_timeout_s)
+        self.close()
 
-    def kill(self) -> None:
-        """SIGKILL the worker — the crash tests' murder weapon."""
+    def close(self) -> None:
+        """SIGKILL the worker if it still runs; release OS resources."""
+        if self.process is None:
+            return
         if self.process.is_alive():
             self.process.kill()
         self.process.join(timeout=5)
-
-    def close(self, force: bool) -> None:
-        """Release OS resources; ``force`` also kills the process."""
-        if force:
-            self.kill()
         self.queue.close()
         self.queue.cancel_join_thread()
         self._recv.close()
@@ -523,8 +187,15 @@ class ProcessShardWorker:
         the parent is the only producer and workers only remove."""
         return not self.queue.full()
 
-    def enqueue(self, events: List[EventTuple], want_ack: bool) -> None:
-        """Queue a batch; explicit :class:`BackpressureError` when full."""
+    def enqueue(self, batch: Sequence[Rating]) -> None:
+        """Queue a batch; explicit :class:`BackpressureError` when full.
+
+        Durable batches ask for an ack, sent once WAL-appended.
+        """
+        events: List[EventTuple] = [
+            (e.rater, e.target, e.value, e.time) for e in batch
+        ]
+        want_ack = self.config.durable
         try:
             self.queue.put_nowait(("apply", events, want_ack))
         except queue_module.Full:
@@ -535,33 +206,12 @@ class ProcessShardWorker:
             self._acks_pending += 1
 
     def wait_acks(self) -> None:
-        """Block until every durable batch sent so far is WAL-appended.
-
-        Replies to commands whose collection was aborted (a fan-out that
-        failed on a *different* worker) may still be in the pipe; every
-        completed call already consumed its own reply, so any ``result``
-        or ``error`` seen here is stale and drains silently.
-        """
-        while self._acks_pending:
-            message = self._recv_message()
-            kind = message[0]
-            if kind in ("result", "error"):  # stale aborted-fan-out reply
-                continue
-            if kind != "ack":
-                raise ServiceError(
-                    f"shard {self.shard_id} protocol error: expected ack, "
-                    f"got {kind!r}"
-                )
-            self._acks_pending -= 1
+        """Block until every durable batch sent so far is WAL-appended."""
+        self._collect(None)
 
     # -- control plane -------------------------------------------------
     def start_call(self, name: str, *args: Any) -> int:
-        """Send a command without waiting; returns its sequence number.
-
-        Splitting send from collect lets the service issue one command
-        to *every* worker and only then collect — the period close runs
-        its drains and screens in parallel across the processes.
-        """
+        """Send a command without waiting; returns its sequence number."""
         self._seq += 1
         try:
             # Blocking (control must not be dropped) but bounded: a dead
@@ -573,50 +223,48 @@ class ProcessShardWorker:
             raise WorkerCrashError(
                 self.shard_id,
                 "command queue stayed full past worker_timeout_s"
-                if self.process.is_alive() else
-                f"exit code {self.process.exitcode}",
+                if self.alive else "worker process has exited",
             ) from None
         return self._seq
 
     def finish_call(self, seq: int) -> Any:
-        """Collect the reply for :meth:`start_call`'s ``seq``.
+        """Collect the reply for :meth:`start_call`'s ``seq``."""
+        return self._collect(seq)
 
-        Replies with an older sequence number belong to calls whose
-        collection was aborted mid-fan-out; they drain silently instead
-        of surfacing as protocol errors on the *next* interaction.
+    def _collect(self, seq: Optional[int]) -> Any:
+        """Read replies until ``seq``'s arrives (or, for ``None``, until
+        every pending ack has).
+
+        Stale replies drain silently instead of surfacing as protocol
+        errors: results with an older sequence number belong to calls
+        whose collection an aborted fan-out gave up on, and acks to a
+        submit that failed on another shard.
         """
-        while True:
+        while seq is not None or self._acks_pending:
             message = self._recv_message()
             kind = message[0]
-            if kind == "ack":  # stale durable ack from a failed submit
+            if kind == "ack":
                 self._acks_pending = max(0, self._acks_pending - 1)
                 continue
-            if kind == "error":
-                _, got_seq, detail = message
-                if got_seq < seq:  # stale aborted-fan-out reply
-                    continue
-                if got_seq != seq:
-                    raise ServiceError(
-                        f"shard {self.shard_id} protocol error: reply seq "
-                        f"{got_seq} != expected {seq}"
-                    )
+            if kind not in ("result", "error"):
                 raise ServiceError(
-                    f"shard {self.shard_id} command failed: {detail}"
+                    f"shard {self.shard_id} protocol error: unexpected "
+                    f"{kind!r} reply"
                 )
-            if kind == "result":
-                _, got_seq, value = message
-                if got_seq < seq:  # stale aborted-fan-out reply
-                    continue
-                if got_seq != seq:
-                    raise ServiceError(
-                        f"shard {self.shard_id} protocol error: reply seq "
-                        f"{got_seq} != expected {seq}"
-                    )
-                return value
-            raise ServiceError(
-                f"shard {self.shard_id} protocol error: unexpected "
-                f"{kind!r} reply"
-            )
+            _, got_seq, value = message
+            if seq is None or got_seq < seq:
+                continue
+            if got_seq != seq:
+                raise ServiceError(
+                    f"shard {self.shard_id} protocol error: reply seq "
+                    f"{got_seq} != expected {seq}"
+                )
+            if kind == "error":
+                raise ServiceError(
+                    f"shard {self.shard_id} command failed: {value}"
+                )
+            return value
+        return None
 
     def call(self, name: str, *args: Any) -> Any:
         """Round-trip one command (a barrier behind all queued batches)."""
@@ -625,6 +273,8 @@ class ProcessShardWorker:
     # -- plumbing ------------------------------------------------------
     def _recv_message(self) -> Tuple[Any, ...]:
         """One reply off the pipe, with liveness-aware timeout."""
+        process = self.process
+        assert process is not None
         deadline = time.monotonic() + self.config.worker_timeout_s
         while True:
             try:
@@ -634,14 +284,14 @@ class ProcessShardWorker:
                 raise WorkerCrashError(
                     self.shard_id, "reply channel closed"
                 ) from None
-            if not self.process.is_alive():
+            if not process.is_alive():
                 # One final drain: the child may have replied just
                 # before exiting (e.g. the stop handshake).
                 if self._recv.poll(0):
                     return cast(Tuple[Any, ...], self._recv.recv())
                 raise WorkerCrashError(
                     self.shard_id,
-                    f"exit code {self.process.exitcode}",
+                    f"exit code {process.exitcode}",
                 )
             if time.monotonic() > deadline:
                 raise WorkerCrashError(
@@ -656,9 +306,3 @@ class ProcessShardWorker:
             return self.queue.qsize()
         except NotImplementedError:  # pragma: no cover - macOS sem_getvalue
             return -1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessShardWorker(id={self.shard_id}, pid={self.pid}, "
-            f"alive={self.alive})"
-        )

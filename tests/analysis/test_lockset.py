@@ -40,24 +40,22 @@ class TestGoldenGuardTables:
 
     def test_detection_service_state_is_guarded_by_ingest_lock(self):
         guards = self.by_class["DetectionService"]
-        for attr in ("_epoch", "_epoch_events", "_total_events",
-                     "_published", "_latest_verdicts", "_history",
-                     "_started", "_last_snapshot_events"):
-            assert guards[attr] == ("_ingest_lock",), attr
-
-    def test_process_service_state_is_guarded_by_ingest_lock(self):
-        guards = self.by_class["ProcessDetectionService"]
         for attr in ("_epoch", "_accepted_per_shard", "_total_per_shard",
                      "_published", "_latest_verdicts", "_history",
                      "_started", "_restarts", "_last_close_error",
-                     "workers"):
+                     "_last_snapshot_events", "_ops_baselines", "workers"):
             assert guards[attr] == ("_ingest_lock",), attr
 
     def test_no_service_attribute_is_unguarded(self):
-        for cls in ("DetectionService", "ProcessDetectionService"):
-            unguarded = [attr for attr, guards in self.by_class[cls].items()
-                         if not guards]
-            assert unguarded == [], cls
+        unguarded = [attr for attr, guards
+                     in self.by_class["DetectionService"].items()
+                     if not guards]
+        assert unguarded == []
+
+    def test_process_service_is_the_same_coordinator(self):
+        """One coordinator: the process service adds no state of its
+        own for the table to guard."""
+        assert "ProcessDetectionService" not in self.by_class
 
 
 class TestEntryLocksets:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from typing import List
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from repro.core.thresholds import DetectionThresholds
 from repro.ratings.events import Rating
 from repro.ratings.matrix import RatingMatrix
-from repro.service import DetectionService, ServiceConfig
-from repro.service.shard import ShardWorker
+from repro.service import (DetectionService, ProcessDetectionService,
+                           ServiceConfig)
 
 from tests.conftest import build_planted_matrix
 
@@ -38,6 +39,14 @@ def matrix_to_events(matrix: RatingMatrix, seed: int = 3) -> List[Rating]:
     ]
 
 
+def events_to_matrix(events: List[Rating], n: int = 40) -> RatingMatrix:
+    """Fold an event stream into the batch detector's count matrix."""
+    matrix = RatingMatrix(n)
+    for event in events:
+        matrix.add(event.rater, event.target, event.value)
+    return matrix
+
+
 def submit_all(service: DetectionService, events: List[Rating],
                batch_size: int = 25) -> int:
     """Feed an event stream through submit() in fixed-size batches."""
@@ -49,8 +58,36 @@ def submit_all(service: DetectionService, events: List[Rating],
 
 def shard_states(service: DetectionService) -> str:
     """Canonical JSON of every shard's exported state (byte-comparable)."""
-    states = [shard.call(ShardWorker.export_state) for shard in service.shards]
-    return json.dumps(states, sort_keys=True)
+    return json.dumps(service.export_shard_states(), sort_keys=True)
+
+
+def park_thread_worker(worker):
+    """Block a thread-transport shard on a command until released.
+
+    Returns ``(release, token)``: set ``release``, then collect the
+    command with ``worker.finish_call(token)``.
+    """
+    release, parked = threading.Event(), threading.Event()
+    dispatch = worker.state.dispatch
+
+    def parking(name, args):
+        if name == "park":
+            parked.set()
+            release.wait(5)
+            return None
+        return dispatch(name, args)
+
+    worker.state.dispatch = parking
+    token = worker.start_call("park")
+    assert parked.wait(5)
+    return release, token
+
+
+@pytest.fixture(params=[DetectionService, ProcessDetectionService],
+                ids=["thread", "process"])
+def service_cls(request):
+    """Each shard transport's coordinator, for transport-agnostic tests."""
+    return request.param
 
 
 @pytest.fixture
@@ -81,6 +118,8 @@ __all__ = [
     "SERVICE_THRESHOLDS",
     "build_planted_matrix",
     "matrix_to_events",
+    "events_to_matrix",
     "submit_all",
     "shard_states",
+    "park_thread_worker",
 ]

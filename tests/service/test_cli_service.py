@@ -84,11 +84,10 @@ def make_process_data_dir(tmp_path, planted_events):
 
 
 class TestReplayProcessMode:
-    """`replay`/`rings` must open a process-mode dir as process-mode.
+    """`replay`/`rings` recover a dir the process transport wrote.
 
-    Regression: before mode auto-detection these recovered a fresh
-    thread service over the empty top-level `wal/` and silently
-    reported zero events.
+    Both transports share the per-shard layout, so the offline tools
+    open it with the thread transport and see every worker's WAL.
     """
 
     def test_replay_recovers_worker_wals(self, tmp_path, planted_events,
@@ -98,7 +97,7 @@ class TestReplayProcessMode:
                      *ARGS_40])
         out = capsys.readouterr().out
         assert code == 0
-        assert "recovered epoch=1" in out and "mode=process" in out
+        assert "recovered epoch=1" in out
         assert "replayed WAL tail: 3 event(s)" in out
         assert "pairs=[[4, 5], [6, 7]]" in out
         assert "MATCH" in out and "MISMATCH" not in out
@@ -113,27 +112,44 @@ class TestReplayProcessMode:
         assert main(["rings", "--data-dir", str(data_dir), *ARGS_40]) == 0
         assert "pair verdicts" in capsys.readouterr().out
 
-    def test_build_service_refuses_mode_mismatch(self, tmp_path,
-                                                 planted_events):
+    def test_retired_layout_is_refused(self, tmp_path, capsys):
+        wal_dir = tmp_path / "svc" / "wal"
+        wal_dir.mkdir(parents=True)
+        (wal_dir / "wal-00000000.jsonl").write_text(
+            '{"rater": 1, "target": 2, "value": 1, "time": 0.0}\n')
+        code = main(["replay", "--data-dir", str(tmp_path / "svc"),
+                     *ARGS_40])
+        assert code == 2
+        assert "retired single-WAL layout" in capsys.readouterr().err
+
+    def test_thread_dir_reopens_under_workers(self, tmp_path,
+                                              planted_events):
+        """A dir written by ``serve --shards 2`` reopens under
+        ``--workers 2`` with byte-identical shard states."""
         import argparse
 
         from repro.cli import _build_service
-        from repro.errors import ServiceError
 
-        process_dir = make_process_data_dir(tmp_path, planted_events)
-        thread_dir = make_data_dir(tmp_path / "t", planted_events)
-
-        def ns(data_dir, workers):
+        def ns(shards, workers):
             return argparse.Namespace(
-                n=40, shards=3, data_dir=str(data_dir),
+                n=40, shards=shards, data_dir=str(tmp_path / "svc"),
                 queue_capacity=1024, snapshot_every=0, fsync=False,
                 t_r=1.0, t_a=0.9, t_b=0.7, t_n=40,
                 matrix_backend=None, workers=workers)
 
-        with pytest.raises(ServiceError, match="pass --workers"):
-            _build_service(ns(process_dir, 0))
-        with pytest.raises(ServiceError, match="without --workers"):
-            _build_service(ns(thread_dir, 3))
+        thread = _build_service(ns(shards=2, workers=0)).start()
+        assert thread.status()["mode"] == "thread"
+        submit_all(thread, planted_events)
+        before = json.dumps(thread.export_shard_states(), sort_keys=True)
+        thread.stop()
+
+        process = _build_service(ns(shards=3, workers=2)).start()
+        try:
+            assert process.status()["mode"] == "process"
+            assert json.dumps(process.export_shard_states(),
+                              sort_keys=True) == before
+        finally:
+            process.stop()
 
 
 class TestServe:

@@ -5,18 +5,20 @@ equal :class:`OptimizedCollusionDetector` run on the epoch's full
 rating matrix, regardless of how the stream was sharded or batched.
 """
 
-import threading
+import time
 
 import pytest
 
 from repro.core.optimized import OptimizedCollusionDetector
-from repro.errors import BackpressureError, ServiceError, UnknownNodeError
+from repro.errors import (BackpressureError, ServiceError, UnknownNodeError,
+                          WorkerCrashError)
 from repro.ratings.events import Rating
 from repro.service import DetectionService, ServiceConfig
 
 from tests.service.conftest import (
     SERVICE_THRESHOLDS,
     matrix_to_events,
+    park_thread_worker,
     submit_all,
 )
 
@@ -103,29 +105,21 @@ class TestIngestion:
 
 
 class TestBackpressure:
-    def _blocked_service(self, tmp_path):
-        """A durable 1-shard service whose worker is parked on a latch."""
+    def _parked_service(self, tmp_path):
+        """A durable 1-shard service whose worker thread is parked on a
+        latch."""
         service = DetectionService(ServiceConfig(
             n=40, num_shards=1, thresholds=SERVICE_THRESHOLDS,
             queue_capacity=1, data_dir=tmp_path / "bp",
         )).start()
-        release = threading.Event()
-        parked = threading.Event()
-
-        def _park():
-            service.shards[0].call(
-                lambda _s: (parked.set(), release.wait(5)))
-
-        blocker = threading.Thread(target=_park, daemon=True)
-        blocker.start()
-        assert parked.wait(5)
-        return service, release, blocker
+        release, token = park_thread_worker(service.workers[0])
+        return service, release, token
 
     def test_rejected_batch_leaves_zero_state(self, tmp_path):
-        service, release, blocker = self._blocked_service(tmp_path)
+        service, release, token = self._parked_service(tmp_path)
         try:
             service.submit([Rating(1, 0, 1)])  # fills the only slot
-            wal_path = service.wal.segment_path(0)
+            wal_path = tmp_path / "bp" / "shard-00" / "wal" / "wal-00000000.jsonl"
             lines_before = wal_path.read_text().count("\n")
             events_before = service.epoch_events
             with pytest.raises(BackpressureError, match="retry"):
@@ -137,11 +131,13 @@ class TestBackpressure:
             assert service.metrics.ops.get("ingest_rejected_events") == 2
         finally:
             release.set()
-            blocker.join(timeout=5)
-            service.stop()
+            service.workers[0].finish_call(token)
+        # the shard applied only the accepted event
+        assert service.workers[0].call("status")["epoch_events"] == 1
+        service.stop()
 
     def test_rejected_batch_is_retriable_verbatim(self, tmp_path):
-        service, release, blocker = self._blocked_service(tmp_path)
+        service, release, token = self._parked_service(tmp_path)
         batch = [Rating(2, 0, 1), Rating(3, 0, -1)]
         try:
             service.submit([Rating(1, 0, 1)])
@@ -149,14 +145,85 @@ class TestBackpressure:
                 service.submit(batch)
         finally:
             release.set()
-            blocker.join(timeout=5)
+            service.workers[0].finish_call(token)
         assert service.submit(batch) == 2  # same batch, now accepted
         service.stop()
 
 
+class TestThreadShardFailures:
+    """A thread shard cannot be killed: past ``worker_timeout_s`` it is
+    down until its command returns, and nothing runs beside it."""
+
+    def _service(self, tmp_path, shards=1):
+        return DetectionService(ServiceConfig(
+            n=40, num_shards=shards, thresholds=SERVICE_THRESHOLDS,
+            data_dir=tmp_path / "d", worker_timeout_s=0.2,
+        )).start()
+
+    def test_timed_out_shard_takes_no_writes_until_it_returns(self, tmp_path):
+        service = self._service(tmp_path)
+        service.submit([Rating(1, 0, 1)])
+        release, token = park_thread_worker(service.workers[0])
+        try:
+            with pytest.raises(WorkerCrashError, match="no reply"):
+                service.workers[0].finish_call(token)
+            assert not service.status()["workers"][0]["alive"]
+            wal_path = tmp_path / "d" / "shard-00" / "wal" / "wal-00000000.jsonl"
+            lines_before = wal_path.read_text().count("\n")
+            with pytest.raises(WorkerCrashError, match="timed out"):
+                service.submit([Rating(2, 0, 1)])
+            assert wal_path.read_text().count("\n") == lines_before
+            assert service.epoch_events == 1
+        finally:
+            release.set()
+        assert token.done.wait(5)
+        # back with its state intact: no restart was needed
+        service.submit([Rating(2, 0, 1)])
+        assert service.end_period().events == 2
+        assert service.status()["workers"][0]["restarts"] == 0
+        service.stop()
+
+    def test_kill_and_restart_are_bounded_on_a_stuck_shard(self, tmp_path):
+        service = self._service(tmp_path)
+        worker = service.workers[0]
+        release, _token = park_thread_worker(worker)
+        try:
+            started = time.monotonic()
+            service.kill()
+            assert time.monotonic() - started < 2
+            with pytest.raises(WorkerCrashError, match="did not stop"):
+                worker.restart(0)
+        finally:
+            release.set()
+        # once the stuck command returns, the thread exits on its own
+        assert worker.restart(0)["epoch"] == 0
+        worker.stop()
+
+    def test_wal_append_failure_is_a_shard_crash(self, tmp_path, monkeypatch):
+        service = self._service(tmp_path, shards=2)
+
+        def broken(batch):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(service.workers[1].state, "log", broken)
+        with pytest.raises(WorkerCrashError, match="WAL append failed"):
+            # target 0 -> shard 0 (logged first), target 1 -> shard 1
+            service.submit([Rating(1, 0, 1), Rating(2, 1, 1)])
+        # at-least-once: shard 0's sub-batch stays accepted
+        assert service.epoch_events == 1
+        assert not service.status()["workers"][1]["alive"]
+        # the next write restarts shard 1 from what its WAL holds
+        service.submit([Rating(2, 1, 1)])
+        assert service.status()["workers"][1]["restarts"] == 1
+        assert service.epoch_events == 2
+        assert service.epoch_wal_events() == [Rating(1, 0, 1), Rating(2, 1, 1)]
+        service.stop()
+
+
 class TestPeriods:
-    def test_peek_is_non_destructive(self, planted_events, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_peek_is_non_destructive(self, planted_events, ephemeral_config,
+                                     service_cls):
+        service = service_cls(ephemeral_config).start()
         submit_all(service, planted_events)
         first = service.peek()
         second = service.peek()
@@ -166,8 +233,9 @@ class TestPeriods:
         assert closed.report.pair_set() == first.report.pair_set()
         service.stop()
 
-    def test_epochs_are_independent(self, planted_events, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_epochs_are_independent(self, planted_events, ephemeral_config,
+                                    service_cls):
+        service = service_cls(ephemeral_config).start()
         submit_all(service, planted_events)
         first = service.end_period()
         assert first.report.pair_set() == {(4, 5), (6, 7)}
@@ -181,8 +249,9 @@ class TestPeriods:
         service.stop()
 
     def test_published_reputation_is_cumulative(self, planted_events,
-                                                ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+                                                ephemeral_config,
+            service_cls):
+        service = service_cls(ephemeral_config).start()
         half = len(planted_events) // 2
         submit_all(service, planted_events[:half])
         service.end_period()
@@ -195,21 +264,24 @@ class TestPeriods:
             assert service.reputation_of(node, live=True) == expected
         service.stop()
 
-    def test_reputation_of_validates_node(self, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_reputation_of_validates_node(self, ephemeral_config,
+                                          service_cls):
+        service = service_cls(ephemeral_config).start()
         with pytest.raises(UnknownNodeError):
             service.reputation_of(40)
         service.stop()
 
-    def test_suspects_before_any_close(self, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_suspects_before_any_close(self, ephemeral_config,
+                                       service_cls):
+        service = service_cls(ephemeral_config).start()
         assert service.suspects()["epoch"] == -1
         service.stop()
 
 
 class TestMetrics:
-    def test_counters_after_one_epoch(self, planted_events, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_counters_after_one_epoch(self, planted_events, ephemeral_config,
+                                      service_cls):
+        service = service_cls(ephemeral_config).start()
         accepted = submit_all(service, planted_events, batch_size=50)
         service.end_period()
         ops = service.metrics.ops
@@ -224,8 +296,9 @@ class TestMetrics:
         assert detector_keys  # shard op accounting merged in
         service.stop()
 
-    def test_detector_ops_not_double_counted(self, ephemeral_config):
-        service = DetectionService(ephemeral_config).start()
+    def test_detector_ops_not_double_counted(self, ephemeral_config,
+                                             service_cls):
+        service = service_cls(ephemeral_config).start()
         service.submit([Rating(1, 0, 1)] * 8)
         service.end_period()
         after_first = service.metrics.ops.get("detector:observe")
@@ -243,7 +316,7 @@ class TestDurableBookkeeping:
         for i in range(25):
             service.submit_one(1 + (i % 5), 10 + (i % 7), 1)
         assert service.metrics.ops.get("snapshots") >= 2
-        assert service.snapshots.list()
+        assert list((tmp_path / "svc").glob("shard-*/snapshots/*.json"))
         service.stop()
 
     def test_snapshot_requires_durable_mode(self, ephemeral_config):
@@ -258,7 +331,7 @@ class TestDurableBookkeeping:
             data_dir=tmp_path / "svc",
         )).start()
         submit_all(service, planted_events)
-        assert service.wal.count(0) == len(planted_events)
+        assert len(service.epoch_wal_events()) == len(planted_events)
         service.stop()
 
 

@@ -1,7 +1,6 @@
 """Tests for the HTTP query API (real sockets on an ephemeral port)."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -10,7 +9,8 @@ import pytest
 from repro.ratings.events import Rating
 from repro.service import DetectionService, ServiceConfig, ServiceHTTPServer
 
-from tests.service.conftest import SERVICE_THRESHOLDS, submit_all
+from tests.service.conftest import (SERVICE_THRESHOLDS, park_thread_worker,
+                                    submit_all)
 
 
 def request(url, payload=None, method=None):
@@ -180,14 +180,7 @@ class TestIngestEndpoint:
             queue_capacity=1, port=0,
         )).start()
         http = ServiceHTTPServer(service).start()
-        release = threading.Event()
-        parked = threading.Event()
-        blocker = threading.Thread(
-            target=lambda: service.shards[0].call(
-                lambda _s: (parked.set(), release.wait(5))),
-            daemon=True)
-        blocker.start()
-        assert parked.wait(5)
+        release, token = park_thread_worker(service.workers[0])
         try:
             payload = {"ratings": [{"rater": 1, "target": 0, "value": 1}]}
             assert request(f"{http.url}/ratings", payload=payload)[0] == 202
@@ -198,7 +191,7 @@ class TestIngestEndpoint:
             assert headers.get("Retry-After") == "1"
         finally:
             release.set()
-            blocker.join(timeout=5)
+            service.workers[0].finish_call(token)
             http.shutdown()
             service.stop()
 
@@ -218,7 +211,7 @@ class TestAdminEndpoints:
         status, doc, _ = request(f"{url}/admin/snapshot", payload={})
         assert status == 200
         assert doc["snapshotted"] is True
-        assert service.snapshots.list()
+        assert list(service.config.data_dir.glob("shard-*/snapshots/*.json"))
 
     def test_snapshot_ephemeral_409(self):
         service = DetectionService(ServiceConfig(

@@ -1,12 +1,12 @@
-"""Process-per-shard service tests.
+"""Process-transport service tests.
 
 The contract under test: :class:`ProcessDetectionService` is
-observationally identical to the thread-per-shard
+observationally identical to the thread-transport
 :class:`DetectionService` — same verdicts, same exported shard states,
-same HTTP surface — while adding per-worker durability (each worker
-owns its WAL + snapshots under ``shard-NN/``), worker crash detection
-with restart-from-WAL, and backpressure that rejects whole batches
-before any state changes.
+same HTTP surface — while its workers are real processes that can be
+SIGSTOPped, time out mid-fan-out and leave stale replies in the pipe.
+Durability and crash recovery are shared code, tested on both
+transports in ``test_recovery.py``.
 
 Equivalence is property-tested against both the thread service and the
 batch :class:`OptimizedCollusionDetector`, because the join proof in
@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 from repro.core.optimized import OptimizedCollusionDetector
 from repro.errors import BackpressureError, WorkerCrashError
 from repro.ratings.events import Rating
-from repro.ratings.matrix import RatingMatrix
 from repro.service import (DetectionService, ProcessDetectionService,
                            ServiceConfig, ServiceHTTPServer)
 
 from tests.service.conftest import (
     SERVICE_THRESHOLDS,
+    events_to_matrix,
     shard_states,
     submit_all,
 )
@@ -45,13 +45,6 @@ def process_config(workers=3, **overrides):
 def process_states(service):
     """Canonical JSON of exported worker states (byte-comparable)."""
     return json.dumps(service.export_shard_states(), sort_keys=True)
-
-
-def events_to_matrix(events, n=40):
-    matrix = RatingMatrix(n)
-    for event in events:
-        matrix.add(event.rater, event.target, event.value)
-    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -170,195 +163,6 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# durability: graceful drain, crash recovery, worker restart
-# ---------------------------------------------------------------------------
-
-class TestDurability:
-    def test_graceful_stop_loses_no_wal_entries(self, tmp_path,
-                                                planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        submit_all(service, planted_events)
-        before = process_states(service)
-        events_before = service.epoch_events
-        service.stop()  # graceful: drain queues, snapshot, write meta
-
-        revived = ProcessDetectionService(config).start()
-        try:
-            assert revived.epoch_events == events_before
-            # snapshot-at-stop means recovery replays nothing
-            assert revived.metrics.ops.get("recovered_events") == 0
-            assert process_states(revived) == before
-        finally:
-            revived.stop()
-
-    def test_kill_recovery_is_byte_identical(self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        cut = len(planted_events) // 2
-        submit_all(service, planted_events[:cut])
-        first = service.end_period()
-        submit_all(service, planted_events[cut:])
-        before = process_states(service)
-        service.kill()  # no drain, no snapshot, no meta update
-
-        revived = ProcessDetectionService(config).start()
-        try:
-            assert revived.epoch == 1
-            assert revived.metrics.ops.get("recovered_events") > 0
-            assert process_states(revived) == before
-            assert revived.suspects()["epoch"] == first.epoch
-            report = revived.end_period().report
-        finally:
-            revived.stop()
-        # across crash + recovery the verdicts still match the batch
-        # detector on the surviving (post-close) events
-        batch = OptimizedCollusionDetector(SERVICE_THRESHOLDS).detect(
-            events_to_matrix(planted_events[cut:]))
-        assert report.pair_set() == batch.pair_set()
-
-    def test_worker_crash_restarts_from_wal(self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        cut = len(planted_events) // 2
-        submit_all(service, planted_events[:cut])
-        service.kill_worker(0)
-        assert not service.workers[0].alive
-        # next submit detects the corpse and restarts it from its WAL
-        submit_all(service, planted_events[cut:])
-        try:
-            assert service.workers[0].alive
-            assert service.status()["workers"][0]["restarts"] == 1
-            assert service.metrics.ops.get("worker_restarts") == 1
-            report = service.end_period().report
-        finally:
-            service.stop()
-        batch = OptimizedCollusionDetector(SERVICE_THRESHOLDS).detect(
-            events_to_matrix(planted_events))
-        assert report.pair_set() == batch.pair_set()
-
-    def test_worker_dirs_are_per_shard(self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        submit_all(service, planted_events)
-        service.stop()
-        for shard_id in range(config.num_shards):
-            shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
-            assert (shard_dir / "wal").is_dir()
-            assert (shard_dir / "snapshots").is_dir()
-        assert (tmp_path / "svc" / "meta.json").is_file()
-
-
-class TestMmapDurability:
-    """``matrix_backend="mmap"``: workers snapshot binary state images
-    and map them back on restart instead of parsing JSON — recovery
-    must stay byte-identical to both the JSON mode and the batch
-    detector."""
-
-    def test_workers_publish_images_not_json_snapshots(self, tmp_path,
-                                                       planted_events):
-        config = process_config(data_dir=tmp_path / "svc",
-                                matrix_backend="mmap")
-        service = ProcessDetectionService(config).start()
-        submit_all(service, planted_events)
-        service.stop()
-        for shard_id in range(config.num_shards):
-            shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
-            assert list((shard_dir / "images").glob("image-*.repm"))
-            assert not list((shard_dir / "snapshots").glob("*.json"))
-
-    def test_graceful_stop_restart_maps_image_and_replays_nothing(
-            self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc",
-                                matrix_backend="mmap")
-        service = ProcessDetectionService(config).start()
-        submit_all(service, planted_events)
-        before = process_states(service)
-        events_before = service.epoch_events
-        service.stop()
-
-        revived = ProcessDetectionService(config).start()
-        try:
-            assert revived.epoch_events == events_before
-            assert revived.metrics.ops.get("recovered_events") == 0
-            assert process_states(revived) == before
-            for entry in revived.status()["workers"]:
-                assert entry["restart_ms"] > 0
-        finally:
-            revived.stop()
-
-    def test_kill_recovery_is_byte_identical(self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc",
-                                matrix_backend="mmap",
-                                snapshot_every=20)
-        service = ProcessDetectionService(config).start()
-        cut = len(planted_events) // 2
-        submit_all(service, planted_events[:cut])
-        first = service.end_period()
-        submit_all(service, planted_events[cut:])
-        before = process_states(service)
-        service.kill()  # no drain, no snapshot, no meta update
-
-        revived = ProcessDetectionService(config).start()
-        try:
-            assert revived.epoch == 1
-            assert process_states(revived) == before
-            assert revived.suspects()["epoch"] == first.epoch
-            report = revived.end_period().report
-        finally:
-            revived.stop()
-        batch = OptimizedCollusionDetector(SERVICE_THRESHOLDS).detect(
-            events_to_matrix(planted_events[cut:]))
-        assert report.pair_set() == batch.pair_set()
-
-    def test_mmap_recovery_equals_json_recovery(self, tmp_path,
-                                                planted_events):
-        """Same stream, same kill point: both modes recover to
-        identical shard states and verdicts."""
-        states, reports = [], []
-        for name, backend in (("json", None), ("mmap", "mmap")):
-            config = process_config(data_dir=tmp_path / name,
-                                    matrix_backend=backend,
-                                    snapshot_every=25)
-            service = ProcessDetectionService(config).start()
-            cut = (2 * len(planted_events)) // 3
-            submit_all(service, planted_events[:cut])
-            service.kill()
-            revived = ProcessDetectionService(config).start()
-            try:
-                submit_all(revived, planted_events[cut:])
-                states.append(process_states(revived))
-                reports.append(revived.end_period().report)
-            finally:
-                revived.stop()
-        assert states[0] == states[1]
-        assert reports[0].pair_set() == reports[1].pair_set()
-        assert reports[0].examined_nodes == reports[1].examined_nodes
-
-    def test_mmap_mode_reads_json_era_snapshots(self, tmp_path,
-                                                planted_events):
-        """Migration: enabling mmap over an existing JSON data dir
-        falls back to the JSON snapshot for that first restart."""
-        json_config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(json_config).start()
-        submit_all(service, planted_events)
-        before = process_states(service)
-        service.stop()
-
-        mmap_config = process_config(data_dir=tmp_path / "svc",
-                                     matrix_backend="mmap")
-        revived = ProcessDetectionService(mmap_config).start()
-        try:
-            assert process_states(revived) == before
-        finally:
-            revived.stop()
-        # the stop-snapshot of the mmap run published images
-        for shard_id in range(mmap_config.num_shards):
-            shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
-            assert list((shard_dir / "images").glob("image-*.repm"))
-
-
-# ---------------------------------------------------------------------------
 # status / healthz surface
 # ---------------------------------------------------------------------------
 
@@ -405,52 +209,6 @@ class TestStatusSurface:
             assert [w["shard"] for w in doc["workers"]] == [0, 1]
         finally:
             http.shutdown()
-            service.stop()
-
-
-# ---------------------------------------------------------------------------
-# drain
-# ---------------------------------------------------------------------------
-
-class TestControlPlaneRecovery:
-    """A dead worker must be recovered by *any* interaction, not just a
-    submit that happens to route an event to its shard — otherwise a
-    crash between submits wedges peek/drain/end-period forever."""
-
-    def test_dead_worker_restarts_on_peek_and_end_period(self, tmp_path,
-                                                         planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        try:
-            submit_all(service, planted_events)
-            service.kill_worker(0)
-            assert not service.workers[0].alive
-            peeked = service.peek()  # no submit in between
-            assert service.workers[0].alive
-            assert service.status()["workers"][0]["restarts"] == 1
-            assert peeked.report.pair_set() == {(4, 5), (6, 7)}
-
-            service.kill_worker(1)
-            report = service.end_period().report
-            assert service.workers[1].alive
-        finally:
-            service.stop()
-        assert report.pair_set() == {(4, 5), (6, 7)}
-
-    def test_dead_worker_restarts_on_drain(self, tmp_path, planted_events):
-        config = process_config(data_dir=tmp_path / "svc")
-        service = ProcessDetectionService(config).start()
-        try:
-            submit_all(service, planted_events)
-            service.kill_worker(2)
-            service.drain()
-            status = service.status()
-            assert status["workers"][2]["alive"] is True
-            assert status["workers"][2]["restarts"] == 1
-            # restart resynced the shard's counters from its WAL
-            assert sum(w["epoch_events"] for w in status["workers"]) == \
-                len(planted_events)
-        finally:
             service.stop()
 
 
@@ -526,7 +284,7 @@ class TestPeriodCloseDegradation:
             def sabotaged(name, *args):
                 if name == "advance":
                     service._fanout_locked = original
-                    service.workers[0].kill()
+                    service.workers[0].close()
                 return original(name, *args)
 
             service._fanout_locked = sabotaged

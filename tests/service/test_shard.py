@@ -1,11 +1,11 @@
-"""Tests for the shard worker: queueing, barriers, failure, state."""
+"""Tests for the in-thread shard transport and the shard state it runs."""
 
 import json
 import threading
 
 import pytest
 
-from repro.errors import BackpressureError, ServiceError
+from repro.errors import BackpressureError, ServiceError, WorkerCrashError
 from repro.ratings.events import Rating
 from repro.service import ServiceConfig
 from repro.service.shard import ShardWorker
@@ -26,10 +26,10 @@ class TestLifecycle:
         worker = make_worker()
         worker.start()
         worker.start()
-        assert worker.running
+        assert worker.alive
         worker.stop()
         worker.stop()
-        assert not worker.running
+        assert not worker.alive
 
     def test_stop_drains_queued_batches(self):
         worker = make_worker()
@@ -54,48 +54,51 @@ class TestDataPlane:
         worker = make_worker()
         worker.apply([Rating(1, 0, 1), Rating(3, 0, -1), Rating(5, 0, 1)])
         assert worker.detector.events_this_period == 3
-        assert worker.cumulative.reputation_of(0) == 1.0
+        assert worker.state.cumulative.reputation_of(0) == 1.0
 
     def test_call_is_a_barrier_behind_batches(self):
         worker = make_worker(queue_capacity=64)
         worker.start()
         for _ in range(20):
             worker.enqueue([Rating(1, 0, 1)])
-        seen = worker.call(lambda s: s.detector.events_this_period)
-        assert seen == 20
+        assert worker.call("status")["epoch_events"] == 20
         worker.stop()
 
-    def test_call_inline_when_stopped(self):
+    def test_call_on_a_stopped_worker_raises(self):
         worker = make_worker()
-        assert worker.call(lambda s: s.shard_id) == 0
+        with pytest.raises(WorkerCrashError, match="not running"):
+            worker.call("barrier")
 
     def test_call_propagates_exceptions(self):
         worker = make_worker()
         worker.start()
-        with pytest.raises(RuntimeError, match="boom"):
-            worker.call(lambda s: (_ for _ in ()).throw(RuntimeError("boom")))
+        with pytest.raises(ServiceError, match="consecutive"):
+            worker.call("advance", 5)
         # the worker survives a failed command
-        assert worker.running
-        worker.drain()
+        assert worker.alive
+        worker.call("barrier")
         worker.stop()
 
 
 class TestWorkerFailure:
-    def test_bad_batch_poisons_the_worker(self):
+    def test_bad_batch_kills_the_worker_until_restart(self):
         worker = make_worker()
         worker.start()
         worker.queue.put(["not a rating"])  # bypass enqueue validation
         deadline = threading.Event()
         deadline.wait(0.01)
         for _ in range(100):
-            if not worker.running:
+            if not worker.alive:
                 break
             deadline.wait(0.01)
-        assert not worker.running
-        with pytest.raises(ServiceError, match="crashed"):
-            worker.call(lambda s: None)
-        with pytest.raises(ServiceError, match="crashed"):
-            worker.enqueue([Rating(1, 0, 1)])
+        assert not worker.alive
+        with pytest.raises(WorkerCrashError, match="not running"):
+            worker.call("barrier")
+        # an ephemeral restart comes back empty and serving
+        assert worker.restart(0)["epoch_events"] == 0
+        worker.enqueue([Rating(1, 0, 1)])
+        assert worker.call("status")["epoch_events"] == 1
+        worker.stop()
 
 
 class TestDurability:
@@ -105,7 +108,7 @@ class TestDurability:
                      + [Rating(0, 2, 1)] * 12)
         exported = worker.export_state()
         clone = make_worker()
-        clone.restore_state(json.loads(json.dumps(exported)))
+        clone.state.restore_state(json.loads(json.dumps(exported)))
         assert (json.dumps(clone.export_state(), sort_keys=True)
                 == json.dumps(exported, sort_keys=True))
 
@@ -113,4 +116,4 @@ class TestDurability:
         worker = make_worker(shard_id=0)
         other = make_worker(shard_id=1)
         with pytest.raises(ServiceError, match="shard id"):
-            other.restore_state(worker.export_state())
+            other.state.restore_state(worker.export_state())
