@@ -9,8 +9,8 @@ that bargain over the real package (``src/repro``):
   module summaries for every file, then the whole-program pass;
 * **warm** — same cache directory again: every per-file entry hits
   (mtime+hash key), so only cache loading and the whole-program pass
-  run.  This is the ``repro lint --changed`` pre-push cost with an
-  empty diff.
+  run.  This is the cost of re-running ``repro lint`` on an unchanged
+  tree.
 
 The ``lockset`` leg times the guard-inference layer the same way:
 ``compute_guards`` runs the identical per-file pass (entry-lockset
@@ -20,10 +20,12 @@ and that the summaries-in-cache amortization still covers it.
 
 Checks: the package lints clean (the CI zero-findings gate, restated
 here so a bench run can't silently disagree with it), warm runs see
-byte-identical finding counts, the warm path is at least 2x faster
-than cold (measured ~20x; 2x keeps the gate robust under CI noise),
-and guard inference names ``_ingest_lock`` for ``DetectionService``
-(the ``--guards`` acceptance contract).  ``ops`` reports
+byte-identical finding counts and analyse zero files (every per-file
+record comes from the cache — a deterministic count, where a
+wall-clock ratio would be noise), and guard inference names
+``_ingest_lock`` for ``DetectionService`` (the ``--guards``
+acceptance contract).  ``speedup`` (cold / best warm wall) is
+reported, not gated.  ``ops`` reports
 files-checked totals — deterministic, so the ``compare --metric ops
 --max-regress 0%`` gate pins engine coverage regressions (a skipped
 file shows up as a count drop).
@@ -59,6 +61,7 @@ def run(config=None):
     series = []
     warm_walls = []
     warm_findings = []
+    warm_analyzed = []
     with tempfile.TemporaryDirectory(prefix="reprolint-bench-") as tmp:
         cache_dir = pathlib.Path(tmp)
         cold_wall, cold = timed_lint(cache_dir)
@@ -66,6 +69,7 @@ def run(config=None):
             "mode": "cold",
             "wall_s": cold_wall,
             "files_checked": cold.files_checked,
+            "files_analyzed": cold.files_analyzed,
             "findings": len(cold.findings),
             "parse_errors": len(cold.errors),
         })
@@ -73,11 +77,13 @@ def run(config=None):
             warm_wall, warm = timed_lint(cache_dir)
             warm_walls.append(warm_wall)
             warm_findings.append(len(warm.findings))
+            warm_analyzed.append(warm.files_analyzed)
             series.append({
                 "mode": "warm",
                 "trial": trial,
                 "wall_s": warm_wall,
                 "files_checked": warm.files_checked,
+                "files_analyzed": warm.files_analyzed,
                 "findings": len(warm.findings),
                 "parse_errors": len(warm.errors),
             })
@@ -122,7 +128,7 @@ def run(config=None):
         "package_lints_clean": not cold.findings and not cold.errors,
         "warm_findings_match_cold":
             all(n == len(cold.findings) for n in warm_findings),
-        "warm_at_least_2x_faster": cold_wall >= 2.0 * best_warm,
+        "warm_runs_analyse_no_file": not any(warm_analyzed),
         "guards_name_the_ingest_lock":
             ingest_guarded or not lockset_runs,
     }

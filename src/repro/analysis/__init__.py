@@ -11,15 +11,15 @@ tests happen to exercise):
   shared :class:`~repro.util.counters.OpCounter` on *every* call path
   (interprocedural: a sweep in a private helper is fine when each
   public entry point that reaches it charges);
-* **REP003 lock-discipline** — shared-state writes in ``service/``
-  happen under the owning lock (or in ``*_locked`` methods);
+* **REP003 thread-handle** — threads started in ``service/`` keep a
+  joinable handle;
 * **REP004 determinism** — no ambient randomness or wall-clock reads
   in the seeded simulation/detection layers;
 * **REP005 schema-versioning** — persisted JSON artifacts go through
   the versioned schema writers;
 * **REP006 lock-order** — lock acquisitions nest in one global order
   across the whole call graph (cycles are potential deadlocks);
-* **REP007 persist-safety** — WAL / snapshot / baseline writes are
+* **REP007 persist-safety** — WAL / snapshot / image writes are
   append-only, atomic (write-then-``os.replace``) or try/finally
   guarded;
 * **REP008 exception-safe-mutation** — a statement in ``service/``
@@ -30,10 +30,14 @@ tests happen to exercise):
   path (``with``, ``close()`` in ``finally``, or a first-party
   hand-off);
 * **REP010 input-taint** — HTTP request fields reach filesystem or
-  shard/epoch-index sinks only through a validator.
+  shard/epoch-index sinks only through a validator;
+* **REP011 inconsistent-guard** — every shared attribute of a
+  lock-owning service class is accessed under one consistent lock;
+* **REP012 cross-process** — state crossing a process spawn flows
+  through a Queue or Pipe.
 
-REP002, REP006 and REP009 are *whole-program* rules: the engine
-summarises every file
+REP002, REP006, REP009, REP011 and REP012 are *whole-program* rules:
+the engine summarises every file
 (:func:`~repro.analysis.callgraph.summarize_module`), links the
 summaries into a :class:`~repro.analysis.callgraph.ProgramContext`
 call graph, and runs them once over the linked program.  REP008 and
@@ -41,15 +45,14 @@ REP010 are path-sensitive: they run dataflow fixpoints
 (:mod:`repro.analysis.dataflow`) over per-function control-flow
 graphs (:mod:`repro.analysis.cfg`).  Per-file summaries are cached on
 disk (:class:`~repro.analysis.cache.AnalysisCache`) keyed by content
-hash and a signature covering the registered-rule set plus the
-dataflow layer version.
+hash and a signature covering the active rules plus a hash of this
+package's own sources.
 
-Entry points: ``repro lint`` (and ``tools/reprolint``).  See
-docs/STATIC_ANALYSIS.md for the rule catalogue, suppression syntax and
-the baseline workflow.
+Entry points: ``repro lint`` (and ``tools/reprolint``), a single gate
+that fails on any finding.  See docs/STATIC_ANALYSIS.md for the rule
+catalogue.
 """
 
-from repro.analysis.baseline import Baseline, BaselineError, split_by_baseline
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.callgraph import (
     ModuleSummary,
@@ -59,25 +62,19 @@ from repro.analysis.callgraph import (
 from repro.analysis.engine import LintResult, lint_package, lint_source
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules, register, rule_index
-from repro.analysis.suppress import SuppressionMap, parse_suppressions
 
 __all__ = [
     "AnalysisCache",
-    "Baseline",
-    "BaselineError",
     "Finding",
     "LintResult",
     "ModuleSummary",
     "ProgramContext",
     "Rule",
     "Severity",
-    "SuppressionMap",
     "all_rules",
     "lint_package",
     "lint_source",
-    "parse_suppressions",
     "register",
     "rule_index",
-    "split_by_baseline",
     "summarize_module",
 ]

@@ -3,16 +3,19 @@
 The whole-program pass parses and summarizes every file under
 ``src/repro`` on each run; for pre-commit use that cost must not be
 paid twice for unchanged files.  :class:`AnalysisCache` persists the
-per-file products — raw findings, the suppression line map, and the
-serialized :class:`~repro.analysis.callgraph.ModuleSummary` — keyed by
+per-file products — raw findings and the serialized
+:class:`~repro.analysis.callgraph.ModuleSummary` — keyed by
 ``(mtime_ns, size)`` with a content-hash fallback, so a ``touch``
 without an edit re-keys instead of re-parsing.
 
 Invalidation is deliberately coarse where correctness wants it:
 
-* the whole cache is discarded when the schema version or the set of
-  per-file rules that produced it changes (``--rules`` subsets get
-  their own signature, so a full run never reads a subset's cache);
+* the whole cache is discarded when its signature changes.  The
+  signature names the active rules (``--rules`` subsets get their own,
+  so a full run never reads a subset's cache) and carries a SHA-256 of
+  the ``repro.analysis`` package's own ``.py`` files
+  (:func:`analysis_digest`), so any edit to a rule, the summarizer or
+  the dataflow layer discards findings the old code produced;
 * a file entry is discarded when neither its ``(mtime_ns, size)`` nor
   its SHA-256 matches the file on disk.
 
@@ -33,15 +36,24 @@ import os
 import pathlib
 from typing import Any, Dict, Optional
 
-__all__ = ["AnalysisCache", "CACHE_VERSION"]
+__all__ = ["AnalysisCache", "analysis_digest"]
 
-# 2: module summaries grew CFG-derived resource lifecycle verdicts
-#    (ResourceFact) for the dataflow layer — v1 entries lack them.
-# 3: summaries grew attribute-access records, per-call locksets and
-#    spawn targets (AttrAccess) for the lockset layer — v2 entries
-#    lack them.
-CACHE_VERSION = 3
 _CACHE_FILE = "reprolint-cache.json"
+
+
+def analysis_digest() -> str:
+    """SHA-256 over every ``.py`` file of the analysis package.
+
+    Relative paths are hashed alongside the bytes, so renaming or
+    adding a rule module changes the digest as well as editing one.
+    """
+    root = pathlib.Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class AnalysisCache:
@@ -64,7 +76,6 @@ class AnalysisCache:
         if not isinstance(data, dict):
             return
         if (data.get("tool") != "reprolint-cache"
-                or data.get("version") != CACHE_VERSION
                 or data.get("rules") != self.rules_signature):
             return
         entries = data.get("entries")
@@ -130,7 +141,6 @@ class AnalysisCache:
             return
         document = {
             "tool": "reprolint-cache",
-            "version": CACHE_VERSION,
             "rules": self.rules_signature,
             "entries": self._entries,
         }

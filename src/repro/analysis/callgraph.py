@@ -119,14 +119,13 @@ class Site:
 
     line: int
     col: int
-    text: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "text": self.text}
+        return {"line": self.line, "col": self.col}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Site":
-        return cls(int(data["line"]), int(data["col"]), str(data["text"]))
+        return cls(int(data["line"]), int(data["col"]))
 
 
 @dataclass
@@ -444,12 +443,6 @@ class ModuleSummary:
 # Summarization (one AST pass per file; result is cacheable)
 
 
-def _line_text(lines: Sequence[str], lineno: int) -> str:
-    if 1 <= lineno <= len(lines):
-        return lines[lineno - 1].strip()
-    return ""
-
-
 def _ctor_chain(value: ast.AST) -> Optional[List[str]]:
     """The class chain when ``value`` constructs something, else None.
 
@@ -521,7 +514,7 @@ def _collect_imports(tree: ast.Module, mod_name: str,
     return imports
 
 
-def _collect_classes(tree: ast.Module, lines: Sequence[str]) -> Dict[str, ClassSummary]:
+def _collect_classes(tree: ast.Module) -> Dict[str, ClassSummary]:
     classes: Dict[str, ClassSummary] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
@@ -600,11 +593,10 @@ class _LockWalker:
     """
 
     def __init__(self, fn_summary: FunctionSummary, lock_attrs: Set[str],
-                 var_types: Dict[str, str], lines: Sequence[str]):
+                 var_types: Dict[str, str]):
         self.fn = fn_summary
         self.lock_attrs = lock_attrs
         self.var_types = var_types
-        self.lines = lines
 
     def walk(self, node: ast.AST, held: List[LockAcquire]) -> None:
         if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -616,8 +608,7 @@ class _LockWalker:
                         and chain[1] in self.lock_attrs):
                     acq = LockAcquire(
                         attr=chain[1],
-                        site=Site(node.lineno, node.col_offset,
-                                  _line_text(self.lines, node.lineno)),
+                        site=Site(node.lineno, node.col_offset),
                     )
                     self.fn.acquires.append(acq)
                     for outer in held:
@@ -660,11 +651,10 @@ class _AccessWalker:
     """
 
     def __init__(self, fn_summary: FunctionSummary, lock_attrs: Set[str],
-                 var_types: Dict[str, str], lines: Sequence[str]):
+                 var_types: Dict[str, str]):
         self.fn = fn_summary
         self.lock_attrs = lock_attrs
         self.var_types = var_types
-        self.lines = lines
         self.record_calls = bool(lock_attrs)
 
     def walk(self, node: ast.AST, held: Tuple[str, ...],
@@ -772,12 +762,11 @@ class _AccessWalker:
     def _record(self, attr: str, kind: str, node: ast.AST,
                 held: Tuple[str, ...], in_handler: bool,
                 method: str = "") -> None:
-        lineno = getattr(node, "lineno", 1)
         self.fn.accesses.append(AttrAccess(
             attr=attr,
             kind=kind,
-            site=Site(lineno, getattr(node, "col_offset", 0),
-                      _line_text(self.lines, lineno)),
+            site=Site(getattr(node, "lineno", 1),
+                      getattr(node, "col_offset", 0)),
             held=held,
             in_handler=in_handler,
             method=method,
@@ -937,7 +926,7 @@ def _stmt_resource_effect(
     return False, handoffs
 
 
-def _collect_resources(fn: ast.AST, lines: Sequence[str],
+def _collect_resources(fn: ast.AST,
                        var_types: Dict[str, str]) -> List[ResourceFact]:
     """Resource facts of one function (CFG path check per tracked var)."""
     assert isinstance(fn, _DEFS)
@@ -955,9 +944,7 @@ def _collect_resources(fn: ast.AST, lines: Sequence[str],
                 yield from scope(handler.body)
 
     def site_of(call: ast.AST) -> Site:
-        lineno = getattr(call, "lineno", 1)
-        return Site(lineno, getattr(call, "col_offset", 0),
-                    _line_text(lines, lineno))
+        return Site(getattr(call, "lineno", 1), getattr(call, "col_offset", 0))
 
     for stmt in scope(fn.body):
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
@@ -1038,14 +1025,13 @@ def summarize_module(module_path: str, display_path: str, source: str,
     """Build the serializable whole-program summary of one file."""
     if tree is None:
         tree = ast.parse(source)
-    lines = source.splitlines()
     mod_name = module_name(module_path)
     is_package = module_path.endswith("__init__.py")
     summary = ModuleSummary(
         module_path=module_path,
         display_path=display_path,
         imports=_collect_imports(tree, mod_name, is_package),
-        classes=_collect_classes(tree, lines),
+        classes=_collect_classes(tree),
     )
 
     for cls_name, fn in _iter_top_scopes(tree):
@@ -1055,7 +1041,7 @@ def summarize_module(module_path: str, display_path: str, source: str,
             qualname=qualname,
             cls=cls_name,
             name=fn.name,
-            site=Site(fn.lineno, fn.col_offset, _line_text(lines, fn.lineno)),
+            site=Site(fn.lineno, fn.col_offset),
             is_public=not fn.name.startswith("_"),
             charges_ops=False,
             locked_convention=bool(cls_name) and fn.name.endswith("_locked"),
@@ -1072,7 +1058,7 @@ def summarize_module(module_path: str, display_path: str, source: str,
                         var_types.setdefault(target.id, ".".join(ctor))
 
         # Pass 1b: resource acquisitions with CFG lifecycle verdicts.
-        fsum.resources = _collect_resources(fn, lines, var_types)
+        fsum.resources = _collect_resources(fn, var_types)
 
         # Pass 2: calls, references, charges, sweep sites.
         for node in ast.walk(fn):
@@ -1091,16 +1077,14 @@ def summarize_module(module_path: str, display_path: str, source: str,
                     chain = attr_chain(node.func)
                     if not chain or chain[0] != "self":
                         fsum.sweeps.append((
-                            Site(node.lineno, node.col_offset,
-                                 _line_text(lines, node.lineno)),
+                            Site(node.lineno, node.col_offset),
                             f"{node.func.attr}() sweep",
                         ))
             elif isinstance(node, ast.Attribute) and node.attr in SWEEP_ATTRS:
                 chain = attr_chain(node)
                 if chain and chain[0] != "self":
                     fsum.sweeps.append((
-                        Site(node.lineno, node.col_offset,
-                             _line_text(lines, node.lineno)),
+                        Site(node.lineno, node.col_offset),
                         f"dense plane read '.{node.attr}'",
                     ))
 
@@ -1109,13 +1093,13 @@ def summarize_module(module_path: str, display_path: str, source: str,
         if cls_name and cls_name in summary.classes:
             lock_attrs = set(summary.classes[cls_name].lock_attrs)
         if lock_attrs:
-            walker = _LockWalker(fsum, lock_attrs, var_types, lines)
+            walker = _LockWalker(fsum, lock_attrs, var_types)
             for stmt in fn.body:
                 walker.walk(stmt, [])
 
         # Pass 4: attribute accesses, per-call locksets, spawn targets
         # (the lockset layer's evidence; runs for every function).
-        access_walker = _AccessWalker(fsum, lock_attrs, var_types, lines)
+        access_walker = _AccessWalker(fsum, lock_attrs, var_types)
         for stmt in fn.body:
             access_walker.walk(stmt, (), False)
 

@@ -1,14 +1,16 @@
 """The ``repro lint`` command-line front end.
 
+``repro lint`` is a single gate: every selected rule runs over the
+whole tree, and any finding fails the run.
+
 Exit codes
 ----------
 0
-    Clean: no new findings (or informational run without
-    ``--fail-on-new``).
+    Clean: no findings and no parse errors.
 1
-    New findings with ``--fail-on-new``, or files that failed to parse.
+    At least one finding, or a file that failed to parse.
 2
-    Usage / baseline errors (unknown rule id, malformed baseline …).
+    Usage errors (unknown rule id …).
 """
 
 from __future__ import annotations
@@ -16,81 +18,42 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import subprocess
 import sys
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineError,
-    DEFAULT_BASELINE_NAME,
-    split_by_baseline,
-)
 from repro.analysis.engine import (
-    LintResult,
     compute_guards,
     default_package_root,
     lint_package,
 )
 from repro.analysis.registry import all_rules
-from repro.analysis.reporter import render_json, render_sarif, render_text
+from repro.analysis.reporter import render_json, render_text
 from repro.errors import ReproError
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
 
 
-def _default_baseline_path() -> pathlib.Path:
-    """``.reprolint-baseline.json`` next to the source tree, else cwd.
-
-    Prefers the repository root inferred from the package location
-    (``src/repro`` → repo root two levels up) so the command works from
-    any directory of a source checkout; falls back to the current
-    directory for installed copies.
-    """
-    pkg_root = default_package_root()
-    candidate = pkg_root.parents[1] / DEFAULT_BASELINE_NAME
-    if candidate.exists():
-        return candidate
-    return pathlib.Path.cwd() / DEFAULT_BASELINE_NAME
-
-
 def _default_cache_dir() -> pathlib.Path:
-    """``.reprolint-cache/`` next to the baseline (repo root or cwd)."""
-    return _default_baseline_path().parent / ".reprolint-cache"
+    """``.reprolint-cache/`` at the repo root of a checkout, else cwd.
+
+    A source checkout is recognised by the ``pyproject.toml`` two
+    levels above the package (``src/repro`` → repo root), so the
+    command works from any directory of a checkout; installed copies
+    fall back to the current directory.
+    """
+    repo_root = default_package_root().parents[1]
+    if not (repo_root / "pyproject.toml").exists():
+        repo_root = pathlib.Path.cwd()
+    return repo_root / ".reprolint-cache"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
+    parser.add_argument("--format", choices=["text", "json"],
                         default="text",
                         help="report format (default: text)")
     parser.add_argument("--rules", default="",
                         help="comma-separated rule ids to run "
                              "(default: every registered rule)")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: "
-                             f"{DEFAULT_BASELINE_NAME} at the repo root)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline: every finding is 'new'")
-    parser.add_argument("--fail-on-new", action="store_true",
-                        help="exit 1 when findings outside the baseline "
-                             "exist (the CI gate)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept the current findings as the baseline "
-                             "and rewrite the file")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="drop stale baseline entries (fixed findings); "
-                             "dry-run unless --yes is given")
-    parser.add_argument("--yes", action="store_true",
-                        help="apply --prune-baseline instead of dry-running")
-    parser.add_argument("--show-baselined", action="store_true",
-                        help="also print baselined findings (text format)")
-    parser.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                        metavar="REF",
-                        help="only report findings in files changed vs the "
-                             "given git ref (default REF: HEAD) plus "
-                             "untracked files; unchanged files still come "
-                             "from the cache, so the pre-push loop is "
-                             "sub-second")
     parser.add_argument("--root", default=None,
                         help="package directory to lint "
                              "(default: the installed repro package)")
@@ -99,56 +62,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              ".reprolint-cache/ at the repo root)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the per-file analysis cache")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallelize the per-file pass over N "
-                             "processes (default 1; output is "
-                             "byte-identical at any N)")
     parser.add_argument("--guards", action="store_true",
                         help="print the inferred guarded-by table "
                              "(attribute -> protecting lock -> access "
                              "sites) instead of findings")
     parser.add_argument("--explain", action="store_true",
                         help="describe each rule's invariant and exit")
-
-
-def _changed_files(ref: str,
-                   root: Optional[pathlib.Path] = None) -> Set[str]:
-    """Repo-relative paths changed vs ``ref``, plus untracked files.
-
-    Runs git at the repo root (where the baseline lives) so the
-    reported names line up with finding display paths
-    (``src/repro/...``).  Statuses are honoured: renames (``R``, with
-    ``-M`` detection) contribute the *new* path — the file is linted
-    where it lives now — and deletions (``D``) contribute nothing,
-    there is no file left to lint; stale baseline entries for a
-    deleted file simply stay out of the diff-scoped view.
-    """
-    if root is None:
-        root = _default_baseline_path().parent
-
-    def run(*argv: str) -> List[str]:
-        proc = subprocess.run(
-            ["git", *argv], cwd=root, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            detail = proc.stderr.strip() or proc.stdout.strip()
-            raise ReproError(f"--changed: git {' '.join(argv)} "
-                             f"failed: {detail}")
-        return [line.strip() for line in proc.stdout.splitlines()
-                if line.strip()]
-
-    changed: Set[str] = set()
-    for line in run("diff", "--name-status", "-M", ref, "--"):
-        parts = line.split("\t")
-        status = parts[0]
-        if status.startswith(("R", "C")) and len(parts) >= 3:
-            changed.add(parts[2])       # renamed/copied: the new path
-        elif status.startswith("D"):
-            continue                    # deleted: nothing left to lint
-        elif len(parts) >= 2:
-            changed.add(parts[1])
-    changed.update(run("ls-files", "--others", "--exclude-standard"))
-    return changed
 
 
 def _explain(only: Sequence[str]) -> int:
@@ -166,12 +85,7 @@ def _explain(only: Sequence[str]) -> int:
 def _print_guards(args: argparse.Namespace,
                   cache_dir: Optional[pathlib.Path]) -> int:
     """Render the inferred guarded-by table (text or json)."""
-    if args.format == "sarif":
-        print("error: --guards supports the text and json formats only",
-              file=sys.stderr)
-        return 2
-    rows = compute_guards(root=args.root, cache_dir=cache_dir,
-                          jobs=args.jobs)
+    rows = compute_guards(root=args.root, cache_dir=cache_dir)
     if args.format == "json":
         print(json.dumps(
             {"tool": "reprolint", "guards": [row.to_dict() for row in rows]},
@@ -198,110 +112,22 @@ def run_lint(args: argparse.Namespace) -> int:
     try:
         if args.explain:
             return _explain(only)
-        if args.prune_baseline and args.write_baseline:
-            print("error: --prune-baseline and --write-baseline are "
-                  "mutually exclusive", file=sys.stderr)
-            return 2
-        if args.changed is not None and (args.write_baseline
-                                         or args.prune_baseline):
-            # Rewriting the baseline from a diff-scoped view would
-            # drop every unchanged file's accepted debt.
-            print("error: --changed cannot be combined with "
-                  "--write-baseline/--prune-baseline", file=sys.stderr)
-            return 2
         cache_dir: Optional[pathlib.Path] = None
         if not args.no_cache:
             cache_dir = (pathlib.Path(args.cache_dir) if args.cache_dir
                          else _default_cache_dir())
         if args.guards:
             return _print_guards(args, cache_dir)
-        result = lint_package(root=args.root, only=only, cache_dir=cache_dir,
-                              jobs=args.jobs)
-        changed: Optional[Set[str]] = None
-        if args.changed is not None:
-            changed = _changed_files(args.changed)
-            result = result.restricted_to(changed)
-
-        baseline_path = (pathlib.Path(args.baseline) if args.baseline
-                         else _default_baseline_path())
-        if args.write_baseline:
-            Baseline.from_findings(result.findings).save(baseline_path)
-            print(f"wrote {baseline_path} "
-                  f"({len(result.findings)} accepted finding(s))")
-            return 0
-
-        baseline: Optional[Baseline] = None
-        if not args.no_baseline and baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-            if only:
-                # A rule filter must not report other rules' baseline
-                # entries as stale — they simply did not run.
-                baseline = Baseline(entries=[
-                    e for e in baseline.entries if e.get("rule") in set(only)
-                ])
-            if changed is not None:
-                # Same for --changed: unchanged files' entries did not
-                # get a chance to match, so they are not stale.
-                baseline = Baseline(entries=[
-                    e for e in baseline.entries if e.get("file") in changed
-                ])
-
-        if args.prune_baseline:
-            return _prune_baseline(result, baseline, baseline_path,
-                                   apply=args.yes, only=only)
-    except (BaselineError, ReproError) as exc:
+        result = lint_package(root=args.root, only=only, cache_dir=cache_dir)
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    new, baselined, stale = split_by_baseline(result.findings, baseline)
     if args.format == "json":
-        print(render_json(result, new, baselined, stale, baseline=baseline))
-    elif args.format == "sarif":
-        print(render_sarif(result, new, baselined))
+        print(render_json(result))
     else:
-        print(render_text(result, new, baselined, stale,
-                          show_baselined=args.show_baselined))
-    if result.errors:
-        return 1
-    if args.fail_on_new and new:
-        return 1
-    return 0
-
-
-def _prune_baseline(result: "LintResult", baseline: Optional[Baseline],
-                    baseline_path: pathlib.Path, apply: bool,
-                    only: Sequence[str]) -> int:
-    """Drop stale fingerprints from the baseline (dry-run by default)."""
-    if baseline is None:
-        print(f"no baseline at {baseline_path}; nothing to prune")
-        return 0
-    if only:
-        # Pruning needs the full picture: a --rules subset would see
-        # every other rule's entries as stale and delete live debt.
-        print("error: --prune-baseline cannot be combined with --rules",
-              file=sys.stderr)
-        return 2
-    _new, _baselined, stale = split_by_baseline(result.findings, baseline)
-    if not stale:
-        print(f"{baseline_path}: no stale entries "
-              f"({len(baseline)} entr{'y' if len(baseline) == 1 else 'ies'} "
-              f"all still occur)")
-        return 0
-    for entry in stale:
-        print(f"stale: {entry.get('rule')} at "
-              f"{entry.get('file')}:{entry.get('line')} "
-              f"[{entry.get('fingerprint')}]")
-    if not apply:
-        print(f"dry run: would drop {len(stale)} of {len(baseline)} "
-              f"entr{'y' if len(baseline) == 1 else 'ies'}; "
-              f"re-run with --yes to apply")
-        return 0
-    pruned = baseline.pruned(stale)
-    pruned.save(baseline_path)
-    print(f"wrote {baseline_path} ({len(baseline)} -> {len(pruned)} "
-          f"entr{'y' if len(pruned) == 1 else 'ies'}, "
-          f"{len(stale)} stale dropped)")
-    return 0
+        print(render_text(result))
+    return 1 if result.findings or result.errors else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -14,11 +14,6 @@ Three layers, smallest first:
   and cleansed by configurable *sanitizer* callables.  REP010 is a
   thin rule over it; the spec lives on the rule so the mechanics stay
   policy-free here.
-
-``ANALYSIS_VERSION`` stamps the whole dataflow layer (cfg + solvers +
-the rules built on them) into the engine's cache signature: bump it
-whenever a change here could alter findings, so stale per-file cache
-entries are discarded (docs/STATIC_ANALYSIS.md, "Caching").
 """
 
 from __future__ import annotations
@@ -39,16 +34,12 @@ from typing import (
 from repro.analysis.cfg import ControlFlowGraph
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "solve",
     "reaching_definitions",
     "closure",
     "TaintSpec",
     "TaintAnalysis",
 ]
-
-#: Cache stamp for the dataflow layer; see the engine's rules signature.
-ANALYSIS_VERSION = 1
 
 Fact = FrozenSet
 Transfer = Callable[[int, Fact], Fact]

@@ -1,4 +1,4 @@
-"""The reprolint engine: discover, parse, lint, link, suppress, fingerprint.
+"""The reprolint engine: discover, parse, lint, link.
 
 :func:`lint_package` walks every ``*.py`` under the installed
 ``repro`` package (or any directory standing in for it) and runs two
@@ -8,15 +8,12 @@ passes:
    the file's *module path* (its posix path relative to the package
    root), plus the :mod:`~repro.analysis.callgraph` summarizer.  This
    pass is cached per file (:mod:`~repro.analysis.cache`) keyed on
-   mtime and content hash.
+   mtime and content hash, and fans out over a process pool sized
+   from ``os.cpu_count()``.
 2. **whole-program** — the summaries are linked into a
    :class:`~repro.analysis.callgraph.ProgramContext` and every rule
    with ``whole_program = True`` runs once over the call graph
    (interprocedural ops-discipline, lock-order cycles).
-
-Findings from both passes flow through the same suppression filter
-(inline ``# reprolint: disable=`` directives) and receive the
-content-based fingerprints the baseline matches against.
 
 :func:`lint_source` is the single-file entry point the test-suite
 uses: it lints an in-memory source string under a *virtual* module
@@ -26,17 +23,16 @@ exactly what the cross-file fixtures exercise.
 
 from __future__ import annotations
 
+import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.cache import AnalysisCache
+from repro.analysis.cache import AnalysisCache, analysis_digest
 from repro.analysis.callgraph import ModuleSummary, ProgramContext, summarize_module
-from repro.analysis.dataflow import ANALYSIS_VERSION
-from repro.analysis.findings import Finding, assign_fingerprints
+from repro.analysis.findings import Finding
 from repro.analysis.lockset import GuardRow, LocksetAnalysis
 from repro.analysis.registry import FileContext, Rule, all_rules
-from repro.analysis.suppress import SuppressionMap, parse_suppressions
 
 __all__ = [
     "LintResult",
@@ -55,37 +51,11 @@ class LintResult:
     """Everything one lint run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
     #: ``(display_path, message)`` for files that failed to parse.
     errors: List[Tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-
-    def counts_by_severity(self) -> dict:
-        out: dict = {}
-        for finding in self.findings:
-            out[finding.severity] = out.get(finding.severity, 0) + 1
-        return out
-
-    def extend(self, other: "LintResult") -> None:
-        self.findings.extend(other.findings)
-        self.suppressed.extend(other.suppressed)
-        self.errors.extend(other.errors)
-        self.files_checked += other.files_checked
-
-    def restricted_to(self, paths: Set[str]) -> "LintResult":
-        """A copy narrowed to findings in ``paths`` (display paths).
-
-        The analysis still saw every file — the whole-program pass
-        needs the full call graph — this narrows only the *report*,
-        which is what ``repro lint --changed`` wants: full-fidelity
-        findings, scoped to the files the diff touches.
-        """
-        return LintResult(
-            findings=[f for f in self.findings if f.path in paths],
-            suppressed=[f for f in self.suppressed if f.path in paths],
-            errors=[(p, m) for p, m in self.errors if p in paths],
-            files_checked=self.files_checked,
-        )
+    #: Files the per-file pass analysed rather than read from the cache.
+    files_analyzed: int = 0
 
 
 def default_package_root() -> pathlib.Path:
@@ -110,7 +80,6 @@ class FileRecord:
     module_path: str
     display_path: str
     findings: List[Finding] = field(default_factory=list)
-    suppress_lines: Dict[int, Set[str]] = field(default_factory=dict)
     summary: Optional[ModuleSummary] = None
     error: Optional[str] = None
 
@@ -124,14 +93,9 @@ class FileRecord:
                     "line": f.line,
                     "col": f.col,
                     "message": f.message,
-                    "line_text": f.line_text,
                 }
                 for f in self.findings
             ],
-            "suppress_lines": {
-                str(line): sorted(rules)
-                for line, rules in self.suppress_lines.items()
-            },
             "summary": self.summary.to_dict() if self.summary else None,
             "error": self.error,
         }
@@ -148,14 +112,9 @@ class FileRecord:
                 line=int(f["line"]),
                 col=int(f["col"]),
                 message=str(f["message"]),
-                line_text=str(f["line_text"]),
             )
             for f in data["findings"]
         ]
-        record.suppress_lines = {
-            int(line): set(rules)
-            for line, rules in data["suppress_lines"].items()
-        }
         if data.get("summary") is not None:
             record.summary = ModuleSummary.from_dict(data["summary"])
         record.error = data.get("error")
@@ -176,26 +135,23 @@ def _analyze_file(
         return record
     for rule in per_file_rules:
         record.findings.extend(rule.run(ctx))
-    record.suppress_lines = parse_suppressions(source, ctx.tree).lines()
     record.summary = summarize_module(module_path, display_path, source,
                                       tree=ctx.tree)
     return record
 
 
 # ---------------------------------------------------------------------------
-# Whole-program pass + suppression/fingerprint finalization
+# Whole-program pass
 
 
 def _finalize(records: Sequence[FileRecord],
               program_rules: Sequence[Rule]) -> LintResult:
     result = LintResult(files_checked=len(records))
-    by_display: Dict[str, FileRecord] = {}
     for record in records:
-        by_display[record.display_path] = record
+        result.findings.extend(record.findings)
         if record.error is not None:
             result.errors.append((record.display_path, record.error))
 
-    program_findings: List[Finding] = []
     if program_rules:
         summaries = {
             record.module_path: record.summary
@@ -205,28 +161,9 @@ def _finalize(records: Sequence[FileRecord],
         if summaries:
             program = ProgramContext(summaries)
             for rule in program_rules:
-                program_findings.extend(rule.check_program(program))
-
-    for finding in sorted(program_findings, key=_sort_key):
-        record = by_display.get(finding.path)
-        if record is not None:
-            record.findings.append(finding)
-        else:  # pragma: no cover - program rules anchor at known files
-            result.findings.append(finding)
-
-    for record in records:
-        suppressions = SuppressionMap()
-        for line, rules in record.suppress_lines.items():
-            suppressions.add(line, set(rules))
-        for finding in sorted(record.findings, key=_sort_key):
-            if suppressions.is_suppressed(finding.rule, finding.line):
-                result.suppressed.append(finding)
-            else:
-                result.findings.append(finding)
+                result.findings.extend(rule.check_program(program))
 
     result.findings.sort(key=_sort_key)
-    result.suppressed.sort(key=_sort_key)
-    assign_fingerprints(result.findings)
     return result
 
 
@@ -286,15 +223,16 @@ def _collect_records(
     per_file: Sequence[Rule],
     cache: Optional[AnalysisCache],
     display_base: str,
-    jobs: int,
-) -> List[FileRecord]:
+    jobs: Optional[int],
+) -> Tuple[List[FileRecord], int]:
     """The per-file pass: cache hits in-process, misses possibly pooled.
 
-    With ``jobs > 1`` the misses fan out over a process pool while the
-    whole-program pass (and the cache itself) stay in the parent.
-    Results are reassembled in discovery order, so findings,
-    fingerprints and the saved cache are byte-identical to a serial
-    run.
+    Returns the records in discovery order and how many files were
+    analysed rather than read from the cache.  With more than one job
+    (default: ``os.cpu_count()``) the misses fan out over a process
+    pool while the whole-program pass (and the cache itself) stay in
+    the parent.  Results are reassembled in discovery order, so the
+    findings and the saved cache are byte-identical to a serial run.
     """
     work: List[Tuple[pathlib.Path, str, str]] = []
     for path in _iter_sources(pkg_root):
@@ -316,6 +254,8 @@ def _collect_records(
                     pass  # corrupt entry: fall through and re-analyze
         misses.append((path, module_path, display))
 
+    if jobs is None:
+        jobs = os.cpu_count() or 1
     if jobs > 1 and len(misses) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -338,7 +278,8 @@ def _collect_records(
 
     if cache is not None:
         cache.save()
-    return [records[module_path] for _path, module_path, _display in work]
+    ordered = [records[module_path] for _path, module_path, _display in work]
+    return ordered, len(misses)
 
 
 def _make_cache(
@@ -348,14 +289,12 @@ def _make_cache(
 ) -> Optional[AnalysisCache]:
     if cache_dir is None:
         return None
-    # The signature names the active rules AND stamps the dataflow
-    # layer (cfg + solvers): bumping ANALYSIS_VERSION invalidates
-    # every per-file entry, since cached findings/summaries embed
-    # CFG-derived verdicts.  The lockset layer is stamped through
-    # CACHE_VERSION: its evidence lives in the summary schema itself.
+    # The signature names the active rules and hashes the analysis
+    # package's own sources: cached findings and summaries are only
+    # valid for the exact code that produced them.
     signature = ",".join(
         [r.rule_id for r in list(per_file) + list(program)]
-        + [f"dataflow={ANALYSIS_VERSION}"]
+        + [f"analysis={analysis_digest()}"]
     )
     return AnalysisCache(pathlib.Path(cache_dir), signature)
 
@@ -365,7 +304,7 @@ def lint_package(
     only: Sequence[str] = (),
     display_base: str = "src/repro",
     cache_dir: Optional[Union[str, pathlib.Path]] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
 ) -> LintResult:
     """Lint every python file under ``root`` (default: the repro package).
 
@@ -373,20 +312,22 @@ def lint_package(
     repo-relative (``src/repro/core/basic.py:12``) regardless of where
     the package is installed.  ``cache_dir`` enables the per-file
     analysis cache; the whole-program pass always re-runs.  ``jobs``
-    parallelizes the per-file pass over a process pool (default 1:
-    serial, and the output is byte-identical either way).
+    sizes the per-file process pool (default: ``os.cpu_count()``,
+    serial at 1); the output is byte-identical at any size.
     """
     pkg_root = pathlib.Path(root) if root is not None else default_package_root()
     per_file, program = _split_rules(only)
     cache = _make_cache(cache_dir, per_file, program)
-    records = _collect_records(pkg_root, per_file, cache, display_base, jobs)
-    return _finalize(records, program)
+    records, analyzed = _collect_records(pkg_root, per_file, cache,
+                                         display_base, jobs)
+    result = _finalize(records, program)
+    result.files_analyzed = analyzed
+    return result
 
 
 def compute_guards(
     root: Optional[Union[str, pathlib.Path]] = None,
     cache_dir: Optional[Union[str, pathlib.Path]] = None,
-    jobs: int = 1,
 ) -> List[GuardRow]:
     """The inferred guarded-by table for the package under ``root``.
 
@@ -397,7 +338,8 @@ def compute_guards(
     pkg_root = pathlib.Path(root) if root is not None else default_package_root()
     per_file, program = _split_rules(())
     cache = _make_cache(cache_dir, per_file, program)
-    records = _collect_records(pkg_root, per_file, cache, "src/repro", jobs)
+    records, _analyzed = _collect_records(pkg_root, per_file, cache,
+                                          "src/repro", None)
     summaries = {
         record.module_path: record.summary
         for record in records

@@ -1,21 +1,15 @@
 """Finding model for the reprolint static-analysis pass.
 
 A :class:`Finding` is one rule violation anchored to a ``file:line``
-location.  Findings carry a *fingerprint* — a content-based identity
-that survives unrelated edits moving the line up or down — which is
-what the committed baseline (:mod:`repro.analysis.baseline`) stores:
-pre-existing findings keep matching their baseline entry after
-refactors elsewhere in the file, while a genuinely new violation has no
-matching fingerprint and fails ``repro lint --fail-on-new``.
+location.  ``repro lint`` is a single gate: any finding fails the run.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["Severity", "Finding", "assign_fingerprints"]
+__all__ = ["Severity", "Finding"]
 
 
 class Severity:
@@ -34,12 +28,7 @@ class Severity:
 
 @dataclass
 class Finding:
-    """One rule violation at a concrete source location.
-
-    ``fingerprint`` is filled by :func:`assign_fingerprints` once the
-    whole file has been linted (it depends on how many findings share
-    the same rule + line content, so it cannot be computed per-node).
-    """
+    """One rule violation at a concrete source location."""
 
     rule: str
     severity: str
@@ -47,8 +36,6 @@ class Finding:
     line: int              # 1-based
     col: int               # 0-based (ast convention)
     message: str
-    line_text: str = ""    # stripped source line, for fingerprinting
-    fingerprint: str = field(default="", compare=False)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -65,29 +52,4 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
-
-
-def _digest(rule: str, path: str, line_text: str, occurrence: int) -> str:
-    basis = f"{rule}|{path}|{line_text}|{occurrence}"
-    return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-
-def assign_fingerprints(findings: List[Finding]) -> None:
-    """Fill each finding's content-based fingerprint, in place.
-
-    Identity is ``(rule, file, stripped line text, occurrence index)``
-    — deliberately *not* the line number, so editing an unrelated part
-    of the file does not orphan every baseline entry below the edit.
-    The occurrence index disambiguates identical violations on
-    identical lines (e.g. two ``json.dump`` calls in one module).
-    """
-    seen: Dict[str, int] = {}
-    for finding in findings:
-        key = f"{finding.rule}|{finding.path}|{finding.line_text}"
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        finding.fingerprint = _digest(
-            finding.rule, finding.path, finding.line_text, occurrence
-        )

@@ -34,8 +34,6 @@ class FileContext:
     def __init__(self, module_path: str, source: str, display_path: str = ""):
         self.module_path = module_path          # posix, relative to repro/
         self.display_path = display_path or module_path
-        self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source)
         self._cfgs: Dict[int, ControlFlowGraph] = {}
 
@@ -48,24 +46,16 @@ class FileContext:
             self._cfgs[key] = build_cfg(fn)
         return self._cfgs[key]
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def finding(self, rule: "Rule", node: ast.AST, message: str,
                 severity: str = "") -> Finding:
         """Build a finding anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule=rule.rule_id,
             severity=severity or rule.severity,
             path=self.display_path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
-            line_text=self.line_text(line),
         )
 
 

@@ -1,202 +1,55 @@
-"""Text, JSON and SARIF reporters for reprolint runs."""
+"""Text and JSON reporters for reprolint runs."""
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import LintResult
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import rule_index
+from repro.analysis.findings import Severity
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text", "render_json"]
 
-REPORT_VERSION = 1
-
-#: The schema the SARIF reporter targets (GitHub code scanning ingests
-#: this version; the test suite validates the output shape against it).
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+REPORT_VERSION = 2
 
 
-def _summary_line(new: List[Finding], baselined: List[Finding],
-                  result: LintResult) -> str:
+def _summary_line(result: LintResult) -> str:
     parts = [f"{result.files_checked} files checked"]
     by_sev: Dict[str, int] = {}
-    for finding in new:
+    for finding in result.findings:
         by_sev[finding.severity] = by_sev.get(finding.severity, 0) + 1
-    if new:
+    if result.findings:
         detail = ", ".join(
             f"{by_sev[sev]} {sev}{'s' if by_sev[sev] != 1 else ''}"
             for sev in sorted(by_sev, key=Severity.rank)
         )
-        parts.append(f"{len(new)} new finding(s) ({detail})")
+        parts.append(f"{len(result.findings)} finding(s) ({detail})")
     else:
-        parts.append("no new findings")
-    if baselined:
-        parts.append(f"{len(baselined)} baselined")
-    if result.suppressed:
-        parts.append(f"{len(result.suppressed)} suppressed")
+        parts.append("no findings")
     if result.errors:
         parts.append(f"{len(result.errors)} file error(s)")
     return "; ".join(parts)
 
 
-def render_text(
-    result: LintResult,
-    new: List[Finding],
-    baselined: List[Finding],
-    stale: List[Dict[str, object]],
-    show_baselined: bool = False,
-) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one ``file:line: RULE severity: msg`` per line."""
-    lines: List[str] = []
-    for path, message in result.errors:
-        lines.append(f"{path}: error: {message}")
-    for finding in new:
-        lines.append(finding.render())
-    if show_baselined:
-        for finding in baselined:
-            lines.append(f"{finding.render()} [baselined]")
-    for entry in stale:
-        lines.append(
-            f"stale baseline entry: {entry.get('rule')} at "
-            f"{entry.get('file')}:{entry.get('line')} no longer occurs — "
-            f"prune it with --prune-baseline --yes"
-        )
-    lines.append(_summary_line(new, baselined, result))
+    lines: List[str] = [f"{path}: error: {message}"
+                        for path, message in result.errors]
+    lines.extend(finding.render() for finding in result.findings)
+    lines.append(_summary_line(result))
     return "\n".join(lines)
 
 
-def render_json(
-    result: LintResult,
-    new: List[Finding],
-    baselined: List[Finding],
-    stale: List[Dict[str, object]],
-    baseline: Optional[Baseline] = None,
-) -> str:
+def render_json(result: LintResult) -> str:
     """Machine-readable report (stable shape, versioned)."""
     doc = {
         "tool": "reprolint",
         "report_version": REPORT_VERSION,
         "files_checked": result.files_checked,
-        "new": [f.to_dict() for f in new],
-        "baselined": [f.to_dict() for f in baselined],
-        "suppressed": [f.to_dict() for f in result.suppressed],
-        "stale_baseline_entries": stale,
+        "findings": [f.to_dict() for f in result.findings],
         "errors": [
             {"file": path, "message": message}
             for path, message in result.errors
-        ],
-        "summary": {
-            "new": len(new),
-            "baselined": len(baselined),
-            "suppressed": len(result.suppressed),
-            "stale": len(stale),
-            "baseline_size": len(baseline) if baseline is not None else 0,
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# SARIF 2.1.0 (github/codeql-action/upload-sarif ingests this)
-
-
-def _sarif_level(severity: str) -> str:
-    return "error" if severity == Severity.ERROR else "warning"
-
-
-def _sarif_result(finding: Finding, baseline_state: str) -> Dict[str, object]:
-    return {
-        "ruleId": finding.rule,
-        "level": _sarif_level(finding.severity),
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": finding.path,
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": finding.line,
-                        # SARIF columns are 1-based; findings carry the
-                        # ast 0-based col_offset.
-                        "startColumn": finding.col + 1,
-                    },
-                }
-            }
-        ],
-        "partialFingerprints": {"reprolint/v1": finding.fingerprint},
-        "baselineState": baseline_state,
-    }
-
-
-def render_sarif(
-    result: LintResult,
-    new: List[Finding],
-    baselined: List[Finding],
-) -> str:
-    """One SARIF 2.1.0 run: new findings + baselined ones marked so.
-
-    GitHub annotates PR diffs from the ``results`` array; baselined
-    findings ship with ``baselineState: unchanged`` so code scanning
-    can distinguish accepted debt from regressions, while suppressed
-    findings are omitted entirely (they are counted in the text/JSON
-    reports, which remain the gating surface).
-    """
-    import repro
-
-    rules = []
-    for rule_id, rule_cls in sorted(rule_index().items()):
-        rules.append({
-            "id": rule_id,
-            "name": rule_cls.title or rule_id,
-            "shortDescription": {"text": rule_cls.title or rule_id},
-            "fullDescription": {"text": rule_cls.rationale or rule_cls.title},
-            "defaultConfiguration": {
-                "level": _sarif_level(rule_cls.severity),
-            },
-            "helpUri": (
-                "https://github.com/repro/repro/blob/main/docs/"
-                "STATIC_ANALYSIS.md"
-            ),
-        })
-    results = [_sarif_result(f, "new") for f in new]
-    results += [_sarif_result(f, "unchanged") for f in baselined]
-    doc = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "version": getattr(repro, "__version__", "0"),
-                        "informationUri": (
-                            "https://github.com/repro/repro/blob/main/docs/"
-                            "STATIC_ANALYSIS.md"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                # SRCROOT is resolved by the consumer (GitHub binds it
-                # to the checkout root); declared without a uri per
-                # SARIF 3.14.14 since the absolute root is unknowable
-                # at render time.
-                "originalUriBaseIds": {
-                    "SRCROOT": {
-                        "description": {"text": "repository root"},
-                    },
-                },
-                "results": results,
-            }
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -6,7 +6,7 @@ invariant's documentation lives next to the code enforcing it:
 
 * :mod:`~repro.analysis.rules.rep001_backend_purity` — REP001
 * :mod:`~repro.analysis.rules.rep002_ops_discipline` — REP002
-* :mod:`~repro.analysis.rules.rep003_lock_discipline` — REP003
+* :mod:`~repro.analysis.rules.rep003_thread_handles` — REP003
 * :mod:`~repro.analysis.rules.rep004_determinism` — REP004
 * :mod:`~repro.analysis.rules.rep005_schema_versioning` — REP005
 * :mod:`~repro.analysis.rules.rep006_lock_order` — REP006
@@ -29,7 +29,7 @@ the lockset/guard-inference layer (:mod:`repro.analysis.lockset`).
 from repro.analysis.rules import (  # noqa: F401
     rep001_backend_purity,
     rep002_ops_discipline,
-    rep003_lock_discipline,
+    rep003_thread_handles,
     rep004_determinism,
     rep005_schema_versioning,
     rep006_lock_order,
@@ -44,7 +44,7 @@ from repro.analysis.rules import (  # noqa: F401
 __all__ = [
     "rep001_backend_purity",
     "rep002_ops_discipline",
-    "rep003_lock_discipline",
+    "rep003_thread_handles",
     "rep004_determinism",
     "rep005_schema_versioning",
     "rep006_lock_order",

@@ -14,8 +14,7 @@ plane.  Two violation classes:
   backend module;
 * **warning** — reading the dense-only plane views (``.counts`` /
   ``.positives`` / ``.negatives`` / ``.effective_counts``), which
-  raise on the sparse backend.  Pre-existing dense-only algorithms are
-  baselined; new code must use the agnostic accessors.
+  raise on the sparse backend; code must use the agnostic accessors.
 
 ``self.<attr>`` accesses are exempt — an object's own attributes are
 its business (``OpCounter._counts`` is not a matrix plane).

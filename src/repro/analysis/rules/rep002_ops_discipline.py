@@ -17,8 +17,8 @@ sweeping function through *uncharged* functions only must never reach
 an uncharged public function or an uncharged root (a function with no
 known callers); charged callers terminate their path as covered.  The
 helper-extraction idiom — ``detect()`` pre-charges the nominal cost,
-``_ScreenPass.__init__`` performs the sweep — therefore needs no
-suppression, while deleting the caller's charge flags the sweep again.
+``_ScreenPass.__init__`` performs the sweep — therefore passes,
+while deleting the caller's charge flags the sweep again.
 
 Dynamic calls resolve to conservative *candidate* edges (every
 first-party function sharing the bare name), which can only add
@@ -108,5 +108,4 @@ class OpsDisciplineRule(Rule):
                         f"ops.add(...) charge on some call path — {why}; "
                         f"charge the nominal cost here or in every caller"
                     ),
-                    line_text=site.text,
                 )

@@ -110,9 +110,7 @@ class SchemaVersioningRule(Rule):
         # The binary image container: its JSON header lives behind the
         # REPM magic + IMAGE_FORMAT version stamp (write_image).
         "ratings/backends.py",
-        # The linter's own baseline document (tool + version stamped).
-        "analysis/baseline.py",
-        # The analysis cache (tool + version stamped, atomic replace).
+        # The analysis cache (tool + signature stamped, atomic replace).
         "analysis/cache.py",
     )
 

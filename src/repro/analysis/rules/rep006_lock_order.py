@@ -203,7 +203,6 @@ class LockOrderRule(Rule):
             line=site.line,
             col=site.col,
             message=message,
-            line_text=site.text,
         )
 
 

@@ -17,7 +17,7 @@ This whole-program pass settles the one question the per-file view
 cannot: a hand-off to a *first-party* callee — resolved, or a
 candidate matching some first-party function — is an ownership
 transfer (``self._conn = conn`` two frames down is that callee's
-story, and a false leak here would teach people to baseline the
+story, and a false leak here would teach people to work around the
 rule).  A hand-off that resolves to nothing first-party is not a
 release: ``pickle.dumps(fh)`` does not close anything.
 """
@@ -80,7 +80,6 @@ class ResourceLifecycleRule(Rule):
                         f"party hand-off) — wrap it in a with-statement "
                         f"or close it in finally"
                     ),
-                    line_text=fact.site.text,
                 )
 
     @staticmethod

@@ -99,7 +99,6 @@ class InconsistentGuardRule(Rule):
                         f"consistent guard: {anchor.kind} at "
                         f"{anchor.where()} is lock-free ({detail})"
                     ),
-                    line_text=anchor.site.text,
                 )
 
     def _in_scope(self, module_path: str) -> bool:

@@ -99,7 +99,6 @@ class CrossProcessRule(Rule):
                         f"queue/Pipe mediation — cross-process state "
                         f"must flow through a Queue or Pipe"
                     ),
-                    line_text=child.site.text,
                 )
 
     def _split_sides(

@@ -25,10 +25,9 @@ Usage
     The unified benchmark harness: run registered benches into
     ``BENCH_<name>.json`` and gate changes against a baseline
     (see docs/BENCHMARKS.md).
-``python -m repro lint --fail-on-new``
-    The reprolint invariant linter: AST rules REP001..REP005 over
-    ``src/repro`` with a committed baseline
-    (see docs/STATIC_ANALYSIS.md).
+``python -m repro lint``
+    The reprolint invariant linter: rules REP001..REP012 over
+    ``src/repro``; any finding exits 1 (see docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""REP003 positive fixture: unlocked shared write + discarded thread."""
+"""REP003 fixture: discarded thread, plus the unlocked write REP011 owns."""
 
 import threading
 
@@ -9,7 +9,7 @@ class Service:
         self._events = 0
 
     def ingest(self, n):
-        self._events += n                # error: no lock held
+        self._events += n                # REP011 error: no lock held
 
     def spawn(self):
         threading.Thread(target=self.ingest, args=(1,)).start()  # warning

@@ -1,10 +1,16 @@
 """Per-file analysis cache: speedup, correctness, and invalidation."""
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.analysis import AnalysisCache
 from repro.analysis.engine import lint_package
 
@@ -34,7 +40,10 @@ def synthetic_pkg(tmp_path):
 
 
 def _lint(pkg, cache_dir):
-    return lint_package(root=pkg, display_base="pkg", cache_dir=cache_dir)
+    # Serial, so the cold/warm ratio measures the cache and not the
+    # per-file process pool (tests/analysis/test_cli.py covers that).
+    return lint_package(root=pkg, display_base="pkg", cache_dir=cache_dir,
+                        jobs=1)
 
 
 class TestCacheSpeedAndCorrectness:
@@ -70,6 +79,11 @@ class TestCacheSpeedAndCorrectness:
                          .read_text(encoding="utf-8"))
         assert doc["tool"] == "reprolint-cache"
         assert len(doc["entries"]) == FILES
+
+    def test_warm_run_analyses_no_file(self, tmp_path, synthetic_pkg):
+        cache_dir = tmp_path / "cache"
+        assert _lint(synthetic_pkg, cache_dir).files_analyzed == FILES
+        assert _lint(synthetic_pkg, cache_dir).files_analyzed == 0
 
 
 class TestCacheInvalidation:
@@ -124,3 +138,35 @@ class TestCacheInvalidation:
         other = AnalysisCache(tmp_path / "cache",
                               rules_signature="REP001,REP002")
         assert other.lookup("core/m.py", target) is None
+
+    def test_editing_an_analysis_source_misses_the_cache(self, tmp_path):
+        """A rule edit must not be hidden behind findings cached by the
+        old rule: the cache signature hashes the analysis sources."""
+        src = tmp_path / "src"
+        shutil.copytree(pathlib.Path(repro.__file__).parent, src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / "pkg" / "core").mkdir(parents=True)
+        (tmp_path / "pkg" / "core" / "m.py").write_text("X = 1\n")
+
+        def lint():
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "lint", "--rules", "REP004",
+                 "--root", str(tmp_path / "pkg"),
+                 "--cache-dir", str(tmp_path / "cache")],
+                cwd=tmp_path, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            return proc.returncode, proc.stdout
+
+        code, out = lint()
+        assert code == 0 and "REP004" not in out
+        rule = src / "repro" / "analysis" / "rules" / "rep004_determinism.py"
+        text = rule.read_text(encoding="utf-8")
+        anchor = "    def check(self, ctx: FileContext) -> Iterator[Finding]:\n"
+        assert text.count(anchor) == 1
+        rule.write_text(text.replace(
+            anchor, anchor + '        yield ctx.finding(self, ctx.tree, "edited")\n'),
+            encoding="utf-8")
+        code, out = lint()
+        assert "src/repro/core/m.py:1:0: REP004 error: edited" in out
+        assert code == 1

@@ -1,10 +1,8 @@
 """CLI behaviour and the meta-test: the repository lints clean.
 
-The meta-test is the PR's contract with CI — ``repro lint
---fail-on-new`` must exit 0 against the committed baseline.  If you
-add code that violates an invariant, either fix it, suppress it with a
-justification, or (for deliberate debt) regenerate the baseline in the
-same commit.
+The meta-test is the PR's contract with CI — ``repro lint`` must exit
+0 on the current tree.  ``repro lint`` is a single gate: if you add
+code that violates an invariant, fix it in the same commit.
 """
 
 import json
@@ -12,38 +10,72 @@ import json
 import pytest
 
 from repro.analysis.engine import lint_package
+from repro.analysis.reporter import render_json
 from repro.cli import main
+
+#: One REP011 finding: ``_count`` is written without the class's lock.
+ONE_FINDING = (
+    "import threading\n\n\n"
+    "class Svc:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._count = 0\n\n"
+    "    def bump(self):\n"
+    "        self._count += 1\n"
+)
+
+
+@pytest.fixture()
+def bad_pkg(tmp_path):
+    """A package with exactly one finding, at ``service/bad.py:10``."""
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "service").mkdir(parents=True)
+    (pkg / "service" / "bad.py").write_text(ONE_FINDING)
+    return pkg
 
 
 class TestLintCommand:
-    def test_repository_lints_clean_against_baseline(self, capsys):
-        """The gate CI runs: zero new findings on the current tree."""
-        assert main(["lint", "--fail-on-new"]) == 0
-        out = capsys.readouterr().out
-        assert "no new findings" in out
+    def test_repository_lints_clean(self, capsys):
+        """The gate CI runs: zero findings on the current tree."""
+        assert main(["lint"]) == 0
+        assert "no findings" in capsys.readouterr().out
 
-    def test_clean_even_without_baseline(self, capsys):
-        """The REP001 debt is paid off: the tree is clean baseline-free."""
-        assert main(["lint", "--no-baseline"]) == 0  # informational mode
-        assert main(["lint", "--no-baseline", "--fail-on-new"]) == 0
-        out = capsys.readouterr().out
-        assert "no new findings" in out
+    def test_no_flags_exits_1_on_a_finding(self, bad_pkg, tmp_path,
+                                           monkeypatch, capsys):
+        """Failing is the default: no flag turns the gate on."""
+        import repro.analysis.cli as lint_cli
+        import repro.analysis.engine as engine
 
-    def test_json_report_shape(self, capsys):
+        monkeypatch.setattr(engine, "default_package_root", lambda: bad_pkg)
+        monkeypatch.setattr(lint_cli, "default_package_root",
+                            lambda: bad_pkg)
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint"]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/service/bad.py:10:8: REP011 error" in out
+        assert "1 finding(s) (1 error)" in out
+
+    def test_json_report_shape(self, bad_pkg, capsys):
         assert main(["lint", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"tool", "report_version", "files_checked",
+                            "findings", "errors"}
         assert doc["tool"] == "reprolint"
-        assert doc["summary"]["new"] == 0
+        assert doc["findings"] == [] and doc["errors"] == []
         assert doc["files_checked"] > 50
-        assert doc["summary"]["baseline_size"] == 0  # all debt burned down
+
+        assert main(["lint", "--format", "json", "--no-cache",
+                     "--root", str(bad_pkg)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        [finding] = doc["findings"]
+        # No baseline, suppression or fingerprint bookkeeping.
+        assert set(finding) == {"rule", "severity", "file", "line", "col",
+                                "message"}
+        assert (finding["rule"], finding["line"]) == ("REP011", 10)
 
     def test_unknown_rule_exits_2(self, capsys):
         assert main(["lint", "--rules", "REP999"]) == 2
         assert "REP999" in capsys.readouterr().err
-
-    def test_rule_filter_does_not_report_foreign_stale(self, capsys):
-        assert main(["lint", "--rules", "REP003", "--fail-on-new"]) == 0
-        assert "stale" not in capsys.readouterr().out
 
     def test_explain_lists_all_rules(self, capsys):
         assert main(["lint", "--explain"]) == 0
@@ -52,58 +84,6 @@ class TestLintCommand:
                         "REP006", "REP007", "REP008", "REP009", "REP010",
                         "REP011", "REP012"):
             assert rule_id in out
-
-    def test_sarif_report_parses_and_is_clean(self, capsys):
-        assert main(["lint", "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        from tests.analysis.test_sarif import validate_sarif
-
-        results = validate_sarif(doc)
-        # The committed tree is debt-free: a valid run with no results.
-        assert results == []
-
-    def test_sarif_with_fail_on_new_is_a_hard_gate(self, tmp_path, capsys):
-        """``--format sarif --fail-on-new`` must exit 1 on new findings.
-
-        CI uploads SARIF and gates in one invocation, so the exit code
-        must not depend on the chosen report format.
-        """
-        pkg = tmp_path / "pkg"
-        (pkg / "service").mkdir(parents=True)
-        (pkg / "service" / "bad.py").write_text(
-            "import threading\n\n\n"
-            "class Svc:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._count = 0\n\n"
-            "    def bump(self):\n"
-            "        self._count += 1\n"
-        )
-        assert main(["lint", "--root", str(pkg), "--no-baseline",
-                     "--no-cache", "--format", "sarif",
-                     "--fail-on-new"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        from tests.analysis.test_sarif import validate_sarif
-
-        assert len(validate_sarif(doc)) >= 1
-
-    def test_changed_with_clean_scope_passes(self, monkeypatch, capsys):
-        import repro.analysis.cli as lint_cli
-
-        monkeypatch.setattr(lint_cli, "_changed_files",
-                            lambda ref: {"src/repro/core/basic.py"})
-        assert main(["lint", "--changed", "--fail-on-new"]) == 0
-        assert "no new findings" in capsys.readouterr().out
-
-    def test_changed_unknown_ref_exits_2(self, capsys):
-        assert main(["lint", "--changed",
-                     "definitely-not-a-git-ref"]) == 2
-        assert "--changed" in capsys.readouterr().err
-
-    def test_changed_refuses_baseline_rewrites(self, tmp_path, capsys):
-        assert main(["lint", "--changed", "--write-baseline",
-                     "--baseline", str(tmp_path / "b.json")]) == 2
-        assert "--changed" in capsys.readouterr().err
 
     def test_guards_prints_the_inferred_table(self, capsys):
         assert main(["lint", "--guards", "--no-cache"]) == 0
@@ -121,178 +101,31 @@ class TestLintCommand:
                   for row in doc["guards"]}
         assert by_key[("DetectionService", "_published")] == ["_ingest_lock"]
 
-    def test_guards_rejects_sarif(self, capsys):
-        assert main(["lint", "--guards", "--format", "sarif"]) == 2
-        assert "--guards" in capsys.readouterr().err
-
-    def test_write_baseline_round_trips(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline",
-                     "--baseline", str(target)]) == 0
-        assert main(["lint", "--fail-on-new",
-                     "--baseline", str(target)]) == 0
-
-    def test_malformed_baseline_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{}")
-        assert main(["lint", "--baseline", str(bad)]) == 2
-
 
 class TestParallelJobs:
-    def test_jobs_matches_serial_byte_for_byte(self, tmp_path, capsys):
-        """``--jobs 4`` must be invisible: same report, same cache.
+    def test_jobs_matches_serial_byte_for_byte(self, tmp_path):
+        """The process pool must be invisible: same report, same cache.
 
         The pool only farms out the per-file pass and returns the
         exact ``to_cache()`` records a warm hit would read, so both
-        the rendered output and the persisted cache document must be
+        the rendered report and the persisted cache document must be
         byte-identical to a serial run.
         """
         serial_cache = tmp_path / "serial"
         par_cache = tmp_path / "par"
-        assert main(["lint", "--no-baseline", "--format", "json",
-                     "--cache-dir", str(serial_cache)]) == 0
-        serial_out = capsys.readouterr().out
-        assert main(["lint", "--no-baseline", "--format", "json",
-                     "--cache-dir", str(par_cache), "--jobs", "4"]) == 0
-        par_out = capsys.readouterr().out
-        assert par_out == serial_out
+        serial = lint_package(cache_dir=serial_cache, jobs=1)
+        pooled = lint_package(cache_dir=par_cache, jobs=4)
+        assert serial.files_analyzed == pooled.files_analyzed > 50
+        assert render_json(pooled) == render_json(serial)
         assert ((serial_cache / "reprolint-cache.json").read_bytes()
                 == (par_cache / "reprolint-cache.json").read_bytes())
 
-    def test_parallel_run_primes_the_cache_for_serial_hits(
-            self, tmp_path, capsys):
+    def test_parallel_run_primes_the_cache_for_serial_hits(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        assert main(["lint", "--no-baseline", "--jobs", "2",
-                     "--cache-dir", str(cache_dir)]) == 0
-        first = capsys.readouterr().out
-        assert main(["lint", "--no-baseline",
-                     "--cache-dir", str(cache_dir)]) == 0
-        assert capsys.readouterr().out == first
-
-
-class TestChangedFiles:
-    @pytest.fixture()
-    def repo(self, tmp_path):
-        import subprocess
-
-        def git(*argv):
-            subprocess.run(
-                ["git", "-c", "user.name=t",
-                 "-c", "user.email=t@example.com", *argv],
-                cwd=tmp_path, check=True, capture_output=True)
-
-        (tmp_path / "keep.py").write_text("KEEP = 1\n")
-        (tmp_path / "old.py").write_text(
-            "def f(n):\n    return n + 1\n\n\ndef g(n):\n    return n * 2\n")
-        (tmp_path / "doomed.py").write_text("DOOMED = 2\n")
-        git("init", "-q")
-        git("add", ".")
-        git("commit", "-q", "-m", "seed")
-        return tmp_path, git
-
-    def test_renamed_file_contributes_its_new_path(self, repo):
-        from repro.analysis.cli import _changed_files
-
-        root, git = repo
-        git("mv", "old.py", "new.py")
-        changed = _changed_files("HEAD", root=root)
-        assert "new.py" in changed
-        assert "old.py" not in changed
-
-    def test_deleted_file_contributes_nothing(self, repo):
-        from repro.analysis.cli import _changed_files
-
-        root, git = repo
-        git("rm", "-q", "doomed.py")
-        (root / "keep.py").write_text("KEEP = 3\n")
-        (root / "fresh.py").write_text("FRESH = 4\n")  # untracked
-        changed = _changed_files("HEAD", root=root)
-        assert changed == {"keep.py", "fresh.py"}
-
-    def test_deleted_file_with_baseline_entry_does_not_raise(
-            self, tmp_path, monkeypatch, capsys):
-        """A baseline entry for a deleted file must not crash or go
-        stale under ``--changed`` — the file simply left the scope."""
-        import repro.analysis.cli as lint_cli
-
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline",
-                     "--baseline", str(target)]) == 0
-        doc = json.loads(target.read_text())
-        doc["findings"].append({
-            "rule": "REP001", "file": "src/repro/core/deleted.py",
-            "line": 3, "fingerprint": "feedfacefeedface",
-        })
-        target.write_text(json.dumps(doc))
-        monkeypatch.setattr(lint_cli, "_changed_files",
-                            lambda ref: {"src/repro/core/basic.py"})
-        assert main(["lint", "--changed", "--fail-on-new",
-                     "--baseline", str(target)]) == 0
-        assert "stale" not in capsys.readouterr().out
-
-
-class TestPruneBaseline:
-    @pytest.fixture()
-    def stale_baseline(self, tmp_path):
-        """The real baseline plus one entry no finding matches anymore."""
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline",
-                     "--baseline", str(target)]) == 0
-        doc = json.loads(target.read_text())
-        self.live = len(doc["findings"])
-        doc["findings"].append({
-            "rule": "REP001",
-            "file": "src/repro/core/gone.py",
-            "line": 1,
-            "fingerprint": "deadbeefdeadbeef",
-        })
-        target.write_text(json.dumps(doc))
-        return target
-
-    def test_dry_run_reports_but_does_not_write(self, stale_baseline, capsys):
-        before = stale_baseline.read_text()
-        assert main(["lint", "--prune-baseline",
-                     "--baseline", str(stale_baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "dry run: would drop 1" in out
-        assert "deadbeefdeadbeef" in out
-        assert stale_baseline.read_text() == before
-
-    def test_yes_applies_the_prune(self, stale_baseline, capsys):
-        assert main(["lint", "--prune-baseline", "--yes",
-                     "--baseline", str(stale_baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 stale dropped" in out
-        doc = json.loads(stale_baseline.read_text())
-        assert len(doc["findings"]) == self.live
-        assert all(e["fingerprint"] != "deadbeefdeadbeef"
-                   for e in doc["findings"])
-        # Live debt is untouched: the pruned baseline still gates clean.
-        assert main(["lint", "--fail-on-new",
-                     "--baseline", str(stale_baseline)]) == 0
-
-    def test_prune_without_stale_entries_is_a_no_op(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline",
-                     "--baseline", str(target)]) == 0
-        before = target.read_text()
-        assert main(["lint", "--prune-baseline", "--yes",
-                     "--baseline", str(target)]) == 0
-        assert "no stale entries" in capsys.readouterr().out
-        assert target.read_text() == before
-
-    def test_prune_refuses_a_rules_subset(self, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        assert main(["lint", "--write-baseline",
-                     "--baseline", str(target)]) == 0
-        assert main(["lint", "--prune-baseline", "--rules", "REP003",
-                     "--baseline", str(target)]) == 2
-        assert "--rules" in capsys.readouterr().err
-
-    def test_prune_and_write_baseline_are_exclusive(self, tmp_path, capsys):
-        assert main(["lint", "--prune-baseline", "--write-baseline",
-                     "--baseline", str(tmp_path / "b.json")]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        first = lint_package(cache_dir=cache_dir, jobs=2)
+        warm = lint_package(cache_dir=cache_dir, jobs=1)
+        assert warm.files_analyzed == 0
+        assert render_json(warm) == render_json(first)
 
 
 class TestEngine:
@@ -311,7 +144,7 @@ class TestEngine:
         assert result.errors[0][0] == "pkg/broken.py"
 
     def test_zero_findings_across_all_twelve_rules(self):
-        """Re-pin the debt-free tree rule by rule.
+        """Re-pin the clean tree rule by rule.
 
         ``result.findings == []`` says the same thing, but when a rule
         regresses this names it in the assertion instead of dumping
@@ -325,13 +158,3 @@ class TestEngine:
             for rule_id in ALL_RULE_IDS
         }
         assert all(not found for found in by_rule.values()), by_rule
-
-    def test_repo_needs_no_suppressions(self):
-        """Interprocedural REP002 retired every shipped suppression.
-
-        Charges at public entry points now absolve helper sweeps, so a
-        reappearing pragma means either the call graph lost an edge or
-        new debt is being hidden — both worth a review.
-        """
-        result = lint_package()
-        assert result.suppressed == []

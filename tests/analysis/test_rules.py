@@ -109,14 +109,18 @@ class TestRep002Interprocedural:
 
 class TestRep003LockDiscipline:
     def test_flags_unlocked_write_and_discarded_thread(self):
+        """REP003 owns the discarded thread; REP011 owns the unlocked write."""
         result = lint_fixture("rep003_violation", "service/fixture.py",
-                              only=["REP003"])
-        assert len(result.findings) == 2
-        errors = [f for f in result.findings if f.severity == Severity.ERROR]
-        warnings = [f for f in result.findings
-                    if f.severity == Severity.WARNING]
-        assert len(errors) == 1 and "_events" in errors[0].message
-        assert len(warnings) == 1 and "Thread" in warnings[0].message
+                              only=["REP003", "REP011"])
+        assert [(f.rule, f.line, f.severity) for f in result.findings] == [
+            ("REP011", 12, Severity.ERROR),
+            ("REP003", 15, Severity.WARNING),
+        ]
+        assert "_events" in result.findings[0].message
+        assert "Thread" in result.findings[1].message
+        only_rep003 = lint_fixture("rep003_violation", "service/fixture.py",
+                                   only=["REP003"])
+        assert [f.line for f in only_rep003.findings] == [15]
 
     def test_locked_write_and_convention_pass(self):
         result = lint_fixture("rep003_clean", "service/fixture.py",
