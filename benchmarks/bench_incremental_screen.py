@@ -1,35 +1,36 @@
-"""Pair-incremental screen vs the dirty-target screen: O(touched) scaling.
+"""Pair-incremental screen vs a full re-screen: O(touched) scaling.
 
-The Section 4.2 streaming detector used to keep a *set of dirty
-targets* and, worse, threw away its whole re-screen cache whenever any
-node's high-reputation bit changed — so a single reputation crossing
-``t_r`` forced a full O(hot targets) screen at the next evaluation even
-when only a handful of pairs changed.  The pair-incremental screen
-(``OnlineCollusionDetector(..., incremental_screen=True)``, the
-default) maintains each target's Formula-(2) terms in O(1) per
-``observe`` and re-evaluates only the (suspect, booster) pairs whose
-band actually flipped.
+The Section 4.2 streaming detector (``OnlineCollusionDetector``)
+maintains each target's Formula-(2) terms in O(1) per ``observe`` and
+re-evaluates only the (suspect, booster) pairs whose band actually
+flipped.  The comparator is a second detector fed the same stream that
+re-screens every hot target from the raw counters each round
+(``full_screen()``) — the O(hot targets) cost the incremental screen
+exists to avoid, and the reference its verdicts must equal.
 
 Workload: ``n`` background targets, each boosted past ``t_n`` by its
 own high booster, plus one planted mutual colluding pair (the
 conviction canary) and one *churner* node whose reputation oscillates
-around ``t_r`` — flipping one high bit per round, the legacy screen's
-full-invalidation trigger.  Each round touches ``k`` fresh targets
-(one critic rating each, flipping exactly ``k`` bands) and then peeks
-(``end_period(reset=False)``).  Both modes see byte-identical streams;
-their reports must stay identical while the evaluated-pair counts
+around ``t_r`` — flipping one high bit per round, which the
+incremental screen must propagate to the targets the churner rates.
+Each round touches ``k`` fresh targets (one critic rating each,
+flipping exactly ``k`` bands) and then evaluates: the incremental
+detector peeks (``end_period(reset=False)``), the comparator runs
+``full_screen()``.  Both detectors see byte-identical streams; their
+reports must stay identical while the evaluated-pair counts
 (``pact_eval``) diverge: O(touched) for the incremental screen versus
-O(hot targets) for the dirty-target screen.
+O(hot targets) for the full re-screen.
 
 Checks: identical reports every round, the planted pair convicted
 throughout, and >= 10x fewer ``pact_eval`` ops at the <= 1% touched
-point (the ISSUE acceptance bar).  All op counts are deterministic and
-gated by ``repro bench compare --metric ops --max-regress 0%``.
+point.  All op counts are deterministic and gated by
+``repro bench compare --metric ops --max-regress 0%``.
 """
 
 import time
 
 from repro.bench.adapters import bench_main, merge_config
+from repro.core.model import DetectionReport, join_half_verdicts
 from repro.core.online import OnlineCollusionDetector
 from repro.core.thresholds import DetectionThresholds
 
@@ -60,14 +61,12 @@ def node_ids(n):
     }
 
 
-def build_detector(n, incremental):
+def build_detector(n):
     """One warmed-up detector: n hot background targets, planted pair,
     churner at reputation t_r (high)."""
     ids = node_ids(n)
     t_n = THRESHOLDS.t_n
-    detector = OnlineCollusionDetector(
-        ids["universe"], THRESHOLDS, incremental_screen=incremental
-    )
+    detector = OnlineCollusionDetector(ids["universe"], THRESHOLDS)
     for target in range(n):
         booster = n + target
         # Hot pair at exactly t_n, all positive: R == upper bound, so
@@ -84,23 +83,39 @@ def build_detector(n, incremental):
     return detector
 
 
+def full_screen_report(detector):
+    """The comparator's evaluation: every hot target re-screened from
+    the raw counters, joined into a report like ``end_period``'s."""
+    high = detector.period_reputation() >= THRESHOLDS.t_r
+    report = DetectionReport(method="full_screen",
+                             examined_nodes=int(high.sum()))
+    for pair in join_half_verdicts(detector.full_screen()):
+        report.add(pair)
+    return report
+
+
+#: How each detector evaluates a round.
+EVALUATE = {
+    "incremental": lambda detector: detector.end_period(reset=False),
+    "full_screen": full_screen_report,
+}
+
+
 def reports_identical(left, right):
     return (left.pair_set() == right.pair_set()
             and left.examined_nodes == right.examined_nodes)
 
 
 def run_sweep(n, k):
-    """Both modes through identical rounds; per-mode peek costs."""
+    """Both detectors through identical rounds; per-detector costs."""
     ids = node_ids(n)
-    modes = {
-        "incremental": build_detector(n, True),
-        "dirty_target": build_detector(n, False),
-    }
+    modes = {name: build_detector(n) for name in EVALUATE}
     planted = (min(ids["planted_a"], ids["planted_b"]),
                max(ids["planted_a"], ids["planted_b"]))
-    # Establish the caches: the first evaluation full-screens in both
-    # modes, so only the *rounds* below are compared.
-    baseline = [d.end_period(reset=False) for d in modes.values()]
+    # Establish the incremental caches: the first evaluation screens
+    # every hot target in both detectors, so only the *rounds* below
+    # are compared.
+    baseline = [EVALUATE[name](d) for name, d in modes.items()]
     identical = reports_identical(*baseline)
     planted_found = all(planted in r.pair_set() for r in baseline)
 
@@ -108,8 +123,8 @@ def run_sweep(n, k):
     costs = {name: {"pact_eval": 0, "pairs_enqueued": 0, "wall_s": 0.0}
              for name in modes}
     for round_no in range(rounds):
-        # Flip one high bit: the churner's reputation oscillates around
-        # t_r (the legacy full-invalidation trigger).
+        # Flip one high bit: the churner's reputation oscillates
+        # around t_r.
         churn_value = -1 if round_no % 2 == 0 else 1
         # Touch k fresh targets: one critic rating flips each band.
         touched = range(round_no * k, round_no * k + k)
@@ -122,7 +137,7 @@ def run_sweep(n, k):
             for target in touched:
                 detector.observe(ids["toucher"], target, -1)
             start = time.perf_counter()
-            reports[name] = detector.end_period(reset=False)
+            reports[name] = EVALUATE[name](detector)
             costs[name]["wall_s"] += time.perf_counter() - start
             diff = detector.ops.diff(before)
             costs[name]["pact_eval"] += diff.get("pact_eval", 0)
@@ -139,8 +154,8 @@ def run_sweep(n, k):
         "touched_fraction": k / n,
         "rounds": rounds,
         "incremental": costs["incremental"],
-        "dirty_target": costs["dirty_target"],
-        "pact_eval_ratio": (costs["dirty_target"]["pact_eval"]
+        "full_screen": costs["full_screen"],
+        "pact_eval_ratio": (costs["full_screen"]["pact_eval"]
                             / max(1, costs["incremental"]["pact_eval"])),
         "reports_identical": identical,
         "planted_pair_detected": planted_found,
@@ -150,9 +165,9 @@ def run_sweep(n, k):
 def run(config=None):
     """Harness entrypoint: touched-fraction sweep at fixed n.
 
-    Returns one series entry per k with both modes' evaluated-pair
-    counts, enqueue counts and peek wall-clock; the acceptance ratio is
-    taken at the smallest (<= 1%) touched fraction.
+    Returns one series entry per k with both detectors' evaluated-pair
+    counts, enqueue counts and evaluation wall-clock; the acceptance
+    ratio is taken at the smallest (<= 1%) touched fraction.
     """
     cfg = merge_config(DEFAULT_CONFIG, config,
                        allowed=frozenset(DEFAULT_CONFIG))
@@ -181,7 +196,7 @@ def run(config=None):
     }
     return {
         "kind": "scaling",
-        "title": "pair-incremental screen vs dirty-target screen",
+        "title": "pair-incremental screen vs full re-screen",
         "series": series,
         "ops": {"total_operations": ops_total},
         "checks": checks,

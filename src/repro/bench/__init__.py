@@ -30,16 +30,6 @@ from repro.bench.gates import (
     apply_growth_gate,
     growth_ratio_gate,
 )
-from repro.bench.loadgen import (
-    StageResult,
-    StageSpec,
-    find_knee,
-    make_workload,
-    parse_rates,
-    percentile,
-    run_stage,
-    run_stages,
-)
 from repro.bench.registry import (
     FULL_TIER,
     SMOKE_TIER,
@@ -72,14 +62,6 @@ __all__ = [
     "compare_result_sets",
     "load_result_set",
     "parse_allowance",
-    "StageResult",
-    "StageSpec",
-    "find_knee",
-    "make_workload",
-    "parse_rates",
-    "percentile",
-    "run_stage",
-    "run_stages",
     "GROWTH_GATE_CHECK",
     "apply_growth_gate",
     "growth_ratio_gate",

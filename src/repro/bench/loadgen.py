@@ -1,160 +1,21 @@
-"""Staged load generation for the detection service.
+"""Latency percentiles for the benchmark harnesses.
 
-The benchmark harness measures *how fast the service can go* when fed
-as hard as possible; this module measures *how the service behaves at a
-given offered rate* — the operational question capacity planning needs
-(docs/OPERATIONS.md).  A load test is a ladder of stages, each either:
+Only :func:`percentile` lives here: ``perfbench/stats.py`` imports it
+as ``repro.bench.loadgen.percentile`` to summarise its per-operation
+latencies and trial spreads, so the module keeps its name.
 
-open loop
-    Batches are released on a fixed schedule derived from the offered
-    QPS, whether or not the previous batch finished — the generator
-    models independent clients, so queueing delay shows up as submit
-    latency and overload shows up as backpressure rejections (the
-    batch is counted and dropped, never retried).
-closed loop
-    Batches are submitted back-to-back with no pacing; the achieved
-    rate is the service's maximum sustainable throughput for this
-    workload.
-
-Each stage reports achieved QPS, submit-latency percentiles (p50, p95,
-p99), and rejection counts.  ``find_knee`` reduces an open-loop ladder
-to the saturation knee: the highest offered rate the service still
-absorbed (achieved >= ``KNEE_ACHIEVED_FRACTION`` of offered with under
-``KNEE_REJECT_FRACTION`` rejections).  Results feed the
-``service_loadtest`` benchmark (``BENCH_service_loadtest.json``) and
-the ``repro loadtest`` CLI.
-
-Latency percentiles use linear interpolation between order statistics
-(the same convention as ``numpy.percentile``'s default) so documented
+Percentiles use linear interpolation between order statistics (the
+same convention as ``numpy.percentile``'s default) so documented
 numbers are reproducible from the raw samples.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Sequence
 
-import numpy as np
+from repro.errors import ConfigurationError
 
-from repro.errors import BackpressureError, ConfigurationError
-from repro.ratings.events import Rating
-
-__all__ = [
-    "StageSpec",
-    "StageResult",
-    "KNEE_ACHIEVED_FRACTION",
-    "KNEE_REJECT_FRACTION",
-    "percentile",
-    "make_workload",
-    "run_stage",
-    "run_stages",
-    "find_knee",
-    "parse_rates",
-]
-
-#: An open-loop stage "absorbed" its offered rate when it achieved at
-#: least this fraction of it...
-KNEE_ACHIEVED_FRACTION = 0.95
-#: ...while rejecting (backpressure) under this fraction of offered
-#: events.
-KNEE_REJECT_FRACTION = 0.01
-
-#: Default planted colluding pairs — the detection workload must make
-#: the period close do real screening, not just count events.
-PLANTED_PAIRS: Tuple[Tuple[int, int], ...] = ((4, 5), (6, 7))
-
-
-class _SubmitService(Protocol):
-    """The slice of the service surface the load generator drives."""
-
-    def submit(self, ratings: Sequence[Rating]) -> int: ...
-
-    def drain(self) -> None: ...
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One rung of the load ladder.
-
-    ``offered_qps`` is events per second for an open-loop stage, or
-    ``None`` for a closed-loop (maximum throughput) stage.  ``events``
-    is the number of workload events this stage consumes; ``batch`` is
-    the submit granularity (one HTTP POST in production maps to one
-    ``submit`` here).
-    """
-
-    offered_qps: Optional[float]
-    events: int
-    batch: int = 50
-
-    def __post_init__(self) -> None:
-        if self.offered_qps is not None and not self.offered_qps > 0:
-            raise ConfigurationError(
-                f"offered_qps must be positive or None, "
-                f"got {self.offered_qps}"
-            )
-        if self.events <= 0:
-            raise ConfigurationError(
-                f"stage events must be positive, got {self.events}"
-            )
-        if self.batch <= 0 or self.batch > self.events:
-            raise ConfigurationError(
-                f"batch must be in 1..events, got {self.batch}"
-            )
-
-    @property
-    def mode(self) -> str:
-        return "closed" if self.offered_qps is None else "open"
-
-
-@dataclass(frozen=True)
-class StageResult:
-    """Measured outcome of one stage."""
-
-    mode: str
-    offered_qps: Optional[float]
-    events_offered: int
-    events_accepted: int
-    events_rejected: int
-    batches: int
-    rejected_batches: int
-    duration_s: float
-    latency_ms_p50: float
-    latency_ms_p95: float
-    latency_ms_p99: float
-    latency_ms_max: float
-
-    @property
-    def achieved_qps(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.events_accepted / self.duration_s
-
-    @property
-    def reject_fraction(self) -> float:
-        if self.events_offered == 0:
-            return 0.0
-        return self.events_rejected / self.events_offered
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "offered_qps": self.offered_qps,
-            "achieved_qps": self.achieved_qps,
-            "events_offered": self.events_offered,
-            "events_accepted": self.events_accepted,
-            "events_rejected": self.events_rejected,
-            "batches": self.batches,
-            "rejected_batches": self.rejected_batches,
-            "duration_s": self.duration_s,
-            "latency_ms": {
-                "p50": self.latency_ms_p50,
-                "p95": self.latency_ms_p95,
-                "p99": self.latency_ms_p99,
-                "max": self.latency_ms_max,
-            },
-        }
+__all__ = ["percentile"]
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -162,8 +23,8 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
     Matches ``numpy.percentile``'s default (``linear``) method so the
     committed baseline numbers can be re-derived from raw samples with
-    either implementation.  Empty input returns 0.0 — a stage where
-    every batch was rejected has no latency signal, not an error.
+    either implementation.  Empty input returns 0.0 — a series with no
+    samples has no latency signal, not an error.
     """
     if not 0 <= q <= 100:
         raise ConfigurationError(f"percentile q must be in 0..100, got {q}")
@@ -177,185 +38,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-
-def make_workload(
-    n: int,
-    events: int,
-    seed: int = 0,
-    planted_pairs: Sequence[Tuple[int, int]] = PLANTED_PAIRS,
-) -> List[Rating]:
-    """A deterministic rating stream with planted colluding pairs.
-
-    Background traffic is uniform random (80% positive); each planted
-    pair boosts itself and draws honest negatives, so epoch closes
-    exercise the gate + screen + join pipeline for real.  The planted
-    block is prepended-shuffled into the stream deterministically from
-    ``seed`` — two calls with equal arguments yield identical lists.
-    """
-    rng = np.random.default_rng(seed)
-    raters = rng.integers(0, n, size=events)
-    targets = rng.integers(0, n, size=events)
-    keep = raters != targets
-    raters, targets = raters[keep], targets[keep]
-    values = np.where(rng.random(raters.size) < 0.8, 1, -1)
-    out = [Rating(int(r), int(t), int(v), time=float(i))
-           for i, (r, t, v) in enumerate(zip(raters, targets, values))]
-    for a, b in planted_pairs:
-        out.extend([Rating(a, b, 1), Rating(b, a, 1)] * 60)
-        for critic in range(n - 10, n):
-            out.extend([Rating(critic, a, -1), Rating(critic, b, -1)] * 4)
-    order = rng.permutation(len(out))
-    return [out[int(i)] for i in order]
-
-
-def _batches(workload: Sequence[Rating], start: int, events: int,
-             batch: int) -> List[List[Rating]]:
-    """Slice ``events`` events from ``workload`` at ``start``, cycling."""
-    if not workload:
-        raise ConfigurationError("workload must not be empty")
-    stream = [workload[(start + i) % len(workload)] for i in range(events)]
-    return [stream[i:i + batch] for i in range(0, len(stream), batch)]
-
-
-def run_stage(
-    service: _SubmitService,
-    workload: Sequence[Rating],
-    spec: StageSpec,
-    start: int = 0,
-) -> StageResult:
-    """Drive one stage against ``service`` and measure it.
-
-    Open loop: batch ``k`` is released at ``k * batch / offered_qps``
-    seconds after stage start; if the generator falls behind schedule
-    it releases immediately (no coordinated omission — slow submits
-    delay later releases only when the service itself is the
-    bottleneck, and that shows up as latency).  A
-    :class:`~repro.errors.BackpressureError` drops the batch and is
-    counted; nothing retries, matching the documented 429 client
-    contract where the retry is a *new* arrival.
-    """
-    batches = _batches(workload, start, spec.events, spec.batch)
-    interval = (0.0 if spec.offered_qps is None
-                else spec.batch / spec.offered_qps)
-    latencies_ms: List[float] = []
-    accepted = 0
-    rejected = 0
-    rejected_batches = 0
-    stage_start = time.perf_counter()
-    for index, batch in enumerate(batches):
-        if interval:
-            release = stage_start + index * interval
-            delay = release - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-        begin = time.perf_counter()
-        try:
-            accepted += service.submit(batch)
-        except BackpressureError:
-            rejected += len(batch)
-            rejected_batches += 1
-        else:
-            latencies_ms.append((time.perf_counter() - begin) * 1e3)
-    # The stage ends when the service has *processed* its events, not
-    # when the last batch hit a queue — drain is a barrier through
-    # every shard, so achieved_qps measures detector throughput.
-    service.drain()
-    duration = time.perf_counter() - stage_start
-    return StageResult(
-        mode=spec.mode,
-        offered_qps=spec.offered_qps,
-        events_offered=spec.events,
-        events_accepted=accepted,
-        events_rejected=rejected,
-        batches=len(batches),
-        rejected_batches=rejected_batches,
-        duration_s=duration,
-        latency_ms_p50=percentile(latencies_ms, 50),
-        latency_ms_p95=percentile(latencies_ms, 95),
-        latency_ms_p99=percentile(latencies_ms, 99),
-        latency_ms_max=max(latencies_ms, default=0.0),
-    )
-
-
-def run_stages(
-    service: _SubmitService,
-    workload: Sequence[Rating],
-    stages: Sequence[StageSpec],
-    warmup: int = 0,
-) -> List[StageResult]:
-    """Run a stage ladder, after an unmeasured closed-loop warmup.
-
-    ``warmup`` events are submitted back-to-back first and excluded
-    from every stage's numbers — they exist to fault in code paths and
-    fill allocator pools, not to measure.  Stages then consume
-    consecutive slices of the (cycled) workload.
-    """
-    if warmup < 0:
-        raise ConfigurationError(f"warmup must be >= 0, got {warmup}")
-    cursor = 0
-    if warmup:
-        run_stage(service, workload,
-                  StageSpec(offered_qps=None, events=warmup,
-                            batch=min(warmup, 50)))
-        cursor = warmup
-    results: List[StageResult] = []
-    for spec in stages:
-        results.append(run_stage(service, workload, spec, start=cursor))
-        cursor += spec.events
-    return results
-
-
-def find_knee(
-    results: Sequence[StageResult],
-    achieved_fraction: float = KNEE_ACHIEVED_FRACTION,
-    reject_fraction: float = KNEE_REJECT_FRACTION,
-) -> Optional[StageResult]:
-    """The saturation knee of an open-loop ladder.
-
-    Returns the open-loop stage with the highest offered rate that the
-    service still absorbed — achieved >= ``achieved_fraction`` of
-    offered and rejections under ``reject_fraction`` of offered — or
-    ``None`` when every stage overloaded (the knee is below the
-    ladder).  Closed-loop stages are ignored: they have no offered
-    rate to absorb.
-    """
-    knee: Optional[StageResult] = None
-    for result in results:
-        if result.mode != "open" or result.offered_qps is None:
-            continue
-        absorbed = (
-            result.achieved_qps >= achieved_fraction * result.offered_qps
-            and result.reject_fraction < reject_fraction
-        )
-        if absorbed and (knee is None
-                         or result.offered_qps
-                         > (knee.offered_qps or 0.0)):
-            knee = result
-    return knee
-
-
-def parse_rates(text: str) -> List[Optional[float]]:
-    """Parse a CLI rate ladder: ``"500,1000,max"``.
-
-    Comma-separated offered QPS values; the token ``max`` (or ``0``)
-    denotes a closed-loop stage.
-    """
-    rates: List[Optional[float]] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() == "max":
-            rates.append(None)
-            continue
-        try:
-            value: Union[float, None] = float(token)
-        except ValueError:
-            raise ConfigurationError(
-                f"rate must be a number or 'max', got {token!r}"
-            ) from None
-        rates.append(None if value == 0 else value)
-    if not rates:
-        raise ConfigurationError(f"no rates in {text!r}")
-    return rates

@@ -12,10 +12,6 @@ Usage
     Run the sharded online detection service with its HTTP query API
     (``--workers N`` runs N shard worker processes instead of
     threads).
-``python -m repro loadtest --workers 4 --rates 500,2000,max``
-    Staged load test against an in-process service: open-loop QPS
-    ladder plus closed-loop max throughput, with latency percentiles
-    and the saturation knee (see docs/OPERATIONS.md).
 ``python -m repro replay --data-dir ./svc --verify``
     Recover service state offline from snapshot + WAL and audit it.
 ``python -m repro rings --data-dir ./svc --edge-floor 0.5``
@@ -275,11 +271,11 @@ def _build_service(args: argparse.Namespace):
     from repro.service import DetectionService, ProcessDetectionService
 
     config = _service_config(args)
-    workers = getattr(args, "workers", 0)
-    if workers:
+    if args.workers:
         # One worker process per shard: --workers overrides --shards so
         # the two knobs never disagree about the partition count.
-        return ProcessDetectionService(replace(config, num_shards=workers))
+        return ProcessDetectionService(
+            replace(config, num_shards=args.workers))
     return DetectionService(config)
 
 
@@ -325,67 +321,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         time_module.sleep(0)  # let the auto-period thread observe the flag
         http.shutdown()
         service.stop()
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.loadgen import (StageSpec, find_knee, make_workload,
-                                     parse_rates, run_stages)
-    from repro.errors import ReproError
-
-    try:
-        rates = parse_rates(args.rates)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        service = _build_service(args).start()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        workload = make_workload(args.n, args.events_per_stage,
-                                 seed=args.seed)
-        stages = [StageSpec(offered_qps=rate, events=args.events_per_stage,
-                            batch=args.batch) for rate in rates]
-        results = run_stages(service, workload, stages, warmup=args.warmup)
-        status = service.status()
-    finally:
-        service.stop()
-    knee = find_knee(results)
-    if args.json:
-        print(json.dumps({
-            "mode": status["mode"],
-            "shards": service.config.num_shards,
-            "warmup_events": args.warmup,
-            "stages": [r.to_dict() for r in results],
-            "knee_qps": None if knee is None else knee.offered_qps,
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"mode={status['mode']} shards={service.config.num_shards} "
-          f"n={args.n} batch={args.batch} warmup={args.warmup}")
-    print()
-    print("stage      offered      achieved   p50 ms   p95 ms   "
-          "p99 ms  rejected")
-    print("-------    --------   ----------   ------   ------   "
-          "------  --------")
-    for index, result in enumerate(results):
-        offered = ("max" if result.offered_qps is None
-                   else f"{result.offered_qps:8.0f}")
-        print(f"{index:>5}      {offered:>8}   {result.achieved_qps:10.0f}"
-              f"   {result.latency_ms_p50:6.2f}   "
-              f"{result.latency_ms_p95:6.2f}   "
-              f"{result.latency_ms_p99:6.2f}  {result.events_rejected:8d}")
-    print()
-    if knee is None:
-        print("saturation knee: below the ladder (every open-loop stage "
-              "overloaded)")
-    else:
-        print(f"saturation knee: {knee.offered_qps:.0f} offered events/s "
-              f"(achieved {knee.achieved_qps:.0f}, "
-              f"p99 {knee.latency_ms_p99:.2f} ms)")
     return 0
 
 
@@ -684,29 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "in-process threads (overrides --shards; "
                               "0: thread mode)")
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_load = sub.add_parser(
-        "loadtest",
-        help="staged load test against an in-process service instance",
-    )
-    _add_service_options(p_load)
-    p_load.add_argument("--workers", type=int, default=0,
-                        help="run N shard worker processes instead of "
-                             "in-process threads (overrides --shards; "
-                             "0: thread mode)")
-    p_load.add_argument("--rates", default="500,2000,max",
-                        help="comma-separated offered events/s per stage; "
-                             "'max' or 0 = closed loop "
-                             "(default: 500,2000,max)")
-    p_load.add_argument("--events-per-stage", type=int, default=5000)
-    p_load.add_argument("--batch", type=int, default=50,
-                        help="events per submit (one POST's worth)")
-    p_load.add_argument("--warmup", type=int, default=500,
-                        help="unmeasured warmup events (default 500)")
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--json", action="store_true",
-                        help="print the full stage ladder as JSON")
-    p_load.set_defaults(func=_cmd_loadtest)
 
     p_replay = sub.add_parser(
         "replay",

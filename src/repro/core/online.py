@@ -44,11 +44,9 @@ targets holding a hot pair with a flipped rater (plus targets whose own
 gate entry flipped) — not the whole hot set.
 
 :meth:`full_screen` is the escape hatch: it drops every incremental
-structure and re-screens all hot targets from the raw counters.
-``incremental_screen=False`` at construction keeps the legacy
-dirty-target behaviour (every touched target is re-screened from
-scratch) — the differential baseline ``bench_incremental_screen``
-measures against.
+structure and re-screens all hot targets from the raw counters —
+the reference the incremental screen is tested and benchmarked
+against (``bench_incremental_screen``).
 """
 
 from __future__ import annotations
@@ -122,12 +120,6 @@ class OnlineCollusionDetector:
         Detection thresholds; ``t_n`` drives the hot-set admission.
     multi_booster_exclusion:
         Same semantics as the batch detectors.
-    incremental_screen:
-        When true (default), per-target screen terms are maintained on
-        every observe and only flipped-bound pairs are re-screened.
-        False restores the legacy dirty-target re-screen (same verdicts,
-        strictly more ``pact_eval``/``formula_eval`` work) — kept as the
-        measurable baseline.
     """
 
     name = "online"
@@ -138,14 +130,12 @@ class OnlineCollusionDetector:
         thresholds: Optional[DetectionThresholds] = None,
         ops: Optional[OpCounter] = None,
         multi_booster_exclusion: bool = True,
-        incremental_screen: bool = True,
     ) -> None:
         check_int_range("n", n, 1)
         self.n = n
         self.thresholds = thresholds if thresholds is not None else DetectionThresholds()
         self.ops = ops if ops is not None else OpCounter()
         self.multi_booster_exclusion = multi_booster_exclusion
-        self.incremental_screen = incremental_screen
         self._pair_eff: Dict[Tuple[int, int], int] = {}
         self._pair_pos: Dict[Tuple[int, int], int] = {}
         self._node_eff: IntArray = np.zeros(n, dtype=np.int64)
@@ -231,9 +221,6 @@ class OnlineCollusionDetector:
         if rec is None:
             # Never screened under the cached high vector; the next
             # evaluation screens it fresh (it is in the dirty set).
-            return
-        if not self.incremental_screen:
-            self._pending_full.add(target)
             return
         th = self.thresholds
         high = self._cache_high
@@ -409,23 +396,16 @@ class OnlineCollusionDetector:
             self.ops.add("full_screen", 1)
             candidates = set(self._hot_by_target)
         else:
-            if not np.array_equal(high, self._cache_high):
-                if self.incremental_screen:
-                    # A rater crossing T_R changes the C1 condition in
-                    # the booster sets of exactly the targets it shares
-                    # a hot pair with; a target crossing changes its
-                    # own gate.
-                    for raw in np.flatnonzero(high != self._cache_high):
-                        node = int(raw)
-                        self._pending_full.update(
-                            self._targets_by_rater.get(node, ())
-                        )
-                        if node in self._hot_by_target:
-                            self._pending_full.add(node)
-                else:
-                    # Legacy semantics: any high change invalidates the
-                    # whole cache.
-                    self._pending_full.update(self._hot_by_target)
+            # A rater crossing T_R changes the C1 condition in the
+            # booster sets of exactly the targets it shares a hot pair
+            # with; a target crossing changes its own gate.
+            for raw in np.flatnonzero(high != self._cache_high):
+                node = int(raw)
+                self._pending_full.update(
+                    self._targets_by_rater.get(node, ())
+                )
+                if node in self._hot_by_target:
+                    self._pending_full.add(node)
             candidates = set(self._screen_state)
             candidates.update(self._pending_full)
             candidates.update(self._pending)
@@ -442,13 +422,7 @@ class OnlineCollusionDetector:
             # replay (clean) < re-emit (touched, bound stood) < fresh.
             rec = self._screen_state.get(i)
             gate_moved = cache_gate is None or float(cache_gate[i]) != float(gate[i])
-            if (
-                rec is None
-                or i in self._pending_full
-                or i in self._pending
-                or (not self.incremental_screen
-                    and (i in self._dirty or gate_moved))
-            ):
+            if rec is None or i in self._pending_full or i in self._pending:
                 mine, rec = self._fresh_screen(i, float(gate[i]), high)
             elif rec.implicated and (i in self._dirty or gate_moved):
                 mine = self._emit(rec.implicated, i, float(gate[i]))

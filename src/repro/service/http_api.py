@@ -108,9 +108,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message}, headers)
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length", 0))
+        # A rejected body is left unread, so the connection cannot carry
+        # another request: the error response closes it.
+        close = {"Connection": "close"}
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._error(400, f"Content-Length must be a non-negative "
+                             f"integer, got {raw!r}", close)
+            return None
+        length = int(raw)
         if length > _MAX_BODY:
-            self._error(413, f"request body exceeds {_MAX_BODY} bytes")
+            self._error(413, f"request body exceeds {_MAX_BODY} bytes", close)
             return None
         return self.rfile.read(length)
 
@@ -178,7 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             document = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return self._error(400, f"invalid JSON body: {exc}")
         if isinstance(document, dict) and "ratings" in document:
             records = document["ratings"]

@@ -19,9 +19,9 @@ class TestBenchList:
     def test_lists_every_benchmark(self, capsys):
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
-        assert "33 registered benchmarks" in out
+        assert "31 registered benchmarks" in out
         for name in ("prop41_basic_scaling", "fig5_eigentrust_b06",
-                     "service_ingest", "micro_components",
+                     "incremental_screen", "micro_components",
                      "sparse_scaling", "lint"):
             assert name in out
 
@@ -30,7 +30,7 @@ class TestBenchList:
         out = capsys.readouterr().out
         smoke_lines = [line for line in out.splitlines()
                        if line.lstrip().startswith("* ")]
-        assert len(smoke_lines) == 8
+        assert len(smoke_lines) == 6
 
 
 class TestBenchRun:
@@ -47,8 +47,6 @@ class TestBenchRun:
             "BENCH_prop41_basic_scaling.json",
             "BENCH_prop42_optimized_scaling.json",
             "BENCH_ring_scorecard.json",
-            "BENCH_service_ingest.json",
-            "BENCH_service_loadtest.json",
             "BENCH_sparse_scaling.json",
         ]
         for path in bench_env.glob("BENCH_*.json"):

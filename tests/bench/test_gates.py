@@ -61,14 +61,14 @@ class TestApplyGrowthGate:
                 scaling_doc("prop41_basic_scaling", [1e4, 4e4, 16e4]),
             "prop42_optimized_scaling":
                 scaling_doc("prop42_optimized_scaling", [1e2, 2e2, 4e2]),
-            "service_ingest": make_valid_doc(name="service_ingest"),
+            "lint": make_valid_doc(name="lint"),
         }
         verdict = apply_growth_gate(docs)
         assert verdict["pass"] is True
         for name in ("prop41_basic_scaling", "prop42_optimized_scaling"):
             assert docs[name]["checks"][GROWTH_GATE_CHECK] is True
             assert docs[name]["growth_gate"] == verdict
-        assert GROWTH_GATE_CHECK not in docs["service_ingest"]["checks"]
+        assert GROWTH_GATE_CHECK not in docs["lint"]["checks"]
 
     def test_noop_when_either_bench_missing(self):
         docs = {"prop41_basic_scaling":

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench import discover, find_bench_dir
 
-EXPECTED_SCRIPTS = 33
+EXPECTED_SCRIPTS = 31
 
 
 def _tree_snapshot(root: pathlib.Path):
@@ -55,7 +55,7 @@ def test_script_names_match_files():
 
 @pytest.mark.parametrize("name", ["prop41_basic_scaling",
                                   "prop42_optimized_scaling",
-                                  "service_ingest"])
+                                  "incremental_screen"])
 def test_smoke_tier_membership(name):
     specs = {s.name: s for s in discover()}
     assert "smoke" in specs[name].tiers

@@ -1,34 +1,9 @@
-"""Unit tests for the staged load generator (`repro.bench.loadgen`)."""
+"""Unit tests for the harness percentile (`repro.bench.loadgen`)."""
 
 import pytest
 
-from repro.bench.loadgen import (
-    StageResult,
-    StageSpec,
-    find_knee,
-    make_workload,
-    parse_rates,
-    percentile,
-    run_stage,
-    run_stages,
-)
-from repro.core.thresholds import DetectionThresholds
-from repro.errors import BackpressureError, ConfigurationError
-from repro.ratings.events import Rating
-from repro.service import DetectionService, ServiceConfig
-
-THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
-
-
-def result(mode="open", offered=1000.0, accepted=900, rejected=0,
-           offered_events=1000, duration=1.0):
-    return StageResult(
-        mode=mode, offered_qps=offered, events_offered=offered_events,
-        events_accepted=accepted, events_rejected=rejected,
-        batches=10, rejected_batches=0, duration_s=duration,
-        latency_ms_p50=1.0, latency_ms_p95=2.0, latency_ms_p99=3.0,
-        latency_ms_max=4.0,
-    )
+from repro.bench.loadgen import percentile
+from repro.errors import ConfigurationError
 
 
 class TestPercentile:
@@ -56,168 +31,3 @@ class TestPercentile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], 101)
-
-
-class TestStageSpec:
-    def test_open_and_closed_modes(self):
-        assert StageSpec(offered_qps=100.0, events=10, batch=5).mode == "open"
-        assert StageSpec(offered_qps=None, events=10, batch=5).mode == "closed"
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(offered_qps=0.0, events=10, batch=5),
-        dict(offered_qps=-1.0, events=10, batch=5),
-        dict(offered_qps=None, events=0, batch=1),
-        dict(offered_qps=None, events=10, batch=0),
-        dict(offered_qps=None, events=10, batch=11),
-    ])
-    def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            StageSpec(**kwargs)
-
-
-class TestWorkload:
-    def test_deterministic(self):
-        first = make_workload(50, 500, seed=7)
-        second = make_workload(50, 500, seed=7)
-        assert first == second
-        assert first != make_workload(50, 500, seed=8)
-
-    def test_no_self_ratings_and_in_universe(self):
-        for event in make_workload(30, 400, seed=0):
-            assert event.rater != event.target
-            assert 0 <= event.rater < 30
-            assert 0 <= event.target < 30
-
-
-class TestRunStages:
-    def make_service(self):
-        return DetectionService(ServiceConfig(
-            n=40, num_shards=2, thresholds=THRESHOLDS,
-            queue_capacity=1024)).start()
-
-    def test_closed_loop_accepts_everything(self):
-        service = self.make_service()
-        workload = make_workload(40, 600, seed=1)
-        try:
-            results = run_stages(
-                service, workload,
-                [StageSpec(offered_qps=None, events=400, batch=50)],
-                warmup=100)
-        finally:
-            service.stop()
-        (outcome,) = results
-        assert outcome.mode == "closed"
-        assert outcome.events_accepted == 400
-        assert outcome.events_rejected == 0
-        assert outcome.achieved_qps > 0
-        assert outcome.latency_ms_p50 <= outcome.latency_ms_p99
-
-    def test_open_loop_paces_the_offered_rate(self):
-        service = self.make_service()
-        workload = make_workload(40, 400, seed=1)
-        try:
-            (outcome,) = run_stages(
-                service, workload,
-                [StageSpec(offered_qps=2000.0, events=400, batch=50)])
-        finally:
-            service.stop()
-        # 400 events at 2000/s is ~0.2s of schedule; achieved should
-        # land near offered, never above ~batch/interval headroom
-        assert outcome.duration_s >= 0.15
-        assert outcome.achieved_qps == pytest.approx(2000.0, rel=0.35)
-
-    def test_backpressure_batches_are_dropped_not_retried(self):
-        class Rejecting:
-            def __init__(self):
-                self.calls = 0
-
-            def submit(self, ratings):
-                self.calls += 1
-                if self.calls % 2 == 0:
-                    raise BackpressureError(0, 1)
-                return len(ratings)
-
-            def drain(self):
-                pass
-
-        service = Rejecting()
-        workload = make_workload(40, 200, seed=0)
-        outcome = run_stage(
-            service, workload,
-            StageSpec(offered_qps=None, events=200, batch=50))
-        assert outcome.batches == 4
-        assert outcome.rejected_batches == 2
-        assert outcome.events_rejected == 100
-        assert outcome.events_accepted == 100
-        assert outcome.reject_fraction == pytest.approx(0.5)
-
-    def test_warmup_is_excluded_from_results(self):
-        class Counting:
-            def __init__(self):
-                self.submitted = 0
-
-            def submit(self, ratings):
-                self.submitted += len(ratings)
-                return len(ratings)
-
-            def drain(self):
-                pass
-
-        service = Counting()
-        workload = make_workload(40, 300, seed=0)
-        results = run_stages(
-            service, workload,
-            [StageSpec(offered_qps=None, events=100, batch=50)],
-            warmup=200)
-        assert service.submitted == 300  # warmup + stage
-        assert results[0].events_offered == 100
-
-
-class TestKnee:
-    def test_highest_absorbed_open_stage_wins(self):
-        ladder = [
-            result(offered=1000.0, accepted=1000),
-            result(offered=2000.0, accepted=1960, offered_events=2000),
-            result(offered=4000.0, accepted=2500, offered_events=4000),
-            result(mode="closed", offered=None, accepted=5000),
-        ]
-        knee = find_knee(ladder)
-        assert knee is not None
-        assert knee.offered_qps == 2000.0
-
-    def test_rejections_disqualify_a_stage(self):
-        ladder = [result(offered=1000.0, accepted=990, rejected=100,
-                         offered_events=1000)]
-        assert find_knee(ladder) is None
-
-    def test_all_overloaded_returns_none(self):
-        ladder = [result(offered=1000.0, accepted=500)]
-        assert find_knee(ladder) is None
-
-
-class TestParseRates:
-    def test_ladder_with_max(self):
-        assert parse_rates("500, 1000, max") == [500.0, 1000.0, None]
-
-    def test_zero_means_closed_loop(self):
-        assert parse_rates("0") == [None]
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_rates("fast")
-        with pytest.raises(ConfigurationError):
-            parse_rates(",,")
-
-
-class TestStageResultDict:
-    def test_to_dict_roundtrips_the_metrics(self):
-        outcome = result()
-        doc = outcome.to_dict()
-        assert doc["mode"] == "open"
-        assert doc["achieved_qps"] == outcome.achieved_qps
-        assert doc["latency_ms"]["p99"] == 3.0
-
-
-def test_workload_events_are_ratings():
-    workload = make_workload(20, 50, seed=0, planted_pairs=((1, 2),))
-    assert all(isinstance(e, Rating) for e in workload)

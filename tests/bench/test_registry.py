@@ -34,9 +34,8 @@ class TestDiscover:
         assert all(s.description for s in specs)
 
     def test_name_filter(self):
-        specs = discover(names=["prop41_basic_scaling", "service_ingest"])
-        assert [s.name for s in specs] == ["prop41_basic_scaling",
-                                           "service_ingest"]
+        specs = discover(names=["prop41_basic_scaling", "lint"])
+        assert [s.name for s in specs] == ["prop41_basic_scaling", "lint"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(BenchError, match="frobnicate"):
@@ -46,10 +45,9 @@ class TestDiscover:
         smoke = discover(tier="smoke")
         assert {s.name for s in smoke} == {
             "incremental_screen", "lint", "prop41_basic_scaling",
-            "prop42_optimized_scaling", "ring_scorecard",
-            "service_ingest", "service_loadtest", "sparse_scaling",
+            "prop42_optimized_scaling", "ring_scorecard", "sparse_scaling",
         }
-        assert len(discover(tier="full")) == 33
+        assert len(discover(tier="full")) == 31
 
     def test_smoke_config_resolution(self):
         spec = discover(names=["prop42_optimized_scaling"])[0]

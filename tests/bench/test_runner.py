@@ -1,5 +1,8 @@
 """The trial runner: schema-valid documents, file emission, suite gate."""
 
+import itertools
+import time
+
 import pytest
 
 from repro.bench import (
@@ -41,14 +44,6 @@ class TestRunBenchmark:
         assert doc["config"] == {"sizes": [60, 120, 240], "seed": 0}
         assert doc["checks"]["exponent_in_band"] is True
 
-    def test_service_ingest_smoke(self, smoke_specs):
-        spec = smoke_specs["service_ingest"]
-        doc = run_benchmark(spec, config=spec.config_for_tier("smoke"),
-                            trials=1)
-        assert validate_result(doc) == []
-        assert doc["payload"]["events_per_sec"] > 0
-        assert doc["checks"]["planted_pairs_detected"] is True
-
     def test_zero_trials_rejected(self):
         with pytest.raises(BenchError):
             run_benchmark(make_spec(), trials=0)
@@ -73,7 +68,13 @@ class TestWriteResult:
 
 
 class TestRunSuite:
-    def test_smoke_suite_writes_gated_documents(self, tmp_path, smoke_specs):
+    def test_smoke_suite_writes_gated_documents(self, tmp_path, smoke_specs,
+                                                monkeypatch):
+        # A clock that advances a fixed 1 s per reading, unrelated to
+        # elapsed time: no smoke check may depend on what it returns.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter",
+                            lambda: float(next(ticks)))
         docs = run_suite(list(smoke_specs.values()), tier="smoke", trials=1,
                          out_dir=tmp_path)
         files = sorted(p.name for p in tmp_path.glob("BENCH_*.json"))
@@ -83,8 +84,6 @@ class TestRunSuite:
             "BENCH_prop41_basic_scaling.json",
             "BENCH_prop42_optimized_scaling.json",
             "BENCH_ring_scorecard.json",
-            "BENCH_service_ingest.json",
-            "BENCH_service_loadtest.json",
             "BENCH_sparse_scaling.json",
         ]
         for name in ("prop41_basic_scaling", "prop42_optimized_scaling"):
@@ -92,6 +91,9 @@ class TestRunSuite:
             assert written["checks"]["prop41_vs_prop42_growth"] is True
             assert written["growth_gate"]["pass"] is True
         assert docs["prop41_basic_scaling"]["growth_gate"]["exponent_gap"] > 0.5
+        for name, doc in docs.items():
+            assert doc["payload"]["checks_pass"] is True, name
+            assert all(doc["checks"].values()), (name, doc["checks"])
 
     def test_suite_without_scaling_pair_skips_gate(self, tmp_path):
         docs = run_suite([make_spec("solo")], tier="full", trials=1,

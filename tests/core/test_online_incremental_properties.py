@@ -8,11 +8,17 @@ the same window — across every registered matrix backend (dense,
 sparse, mmap), with the mmap comparator additionally running over a
 published-and-remapped image, i.e. the shared-memory read path.
 
+At every evaluation, :meth:`OnlineCollusionDetector.full_screen` on a
+state-identical copy must return the same half-verdicts as the
+incremental ``period_candidates()``: the full re-screen is the
+incremental screen's reference.
+
 Also pins the bit-equality of the detector's scalar screen replica
 against the vectorized Formula-(2) screen: the incremental screen is
 only report-safe because both evaluate the identical IEEE expression.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -35,6 +41,7 @@ from repro.ratings.backends import (
     write_image,
 )
 from repro.ratings.matrix import RatingMatrix
+from repro.util.counters import OpCounter
 
 N = 12
 THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.5, t_n=12)
@@ -58,6 +65,14 @@ def _evidence_equal(a, b):
         elif va != vb:
             return False
     return True
+
+
+def assert_halves_identical(actual, expected):
+    assert [(h.target, h.rater) for h in actual] == \
+        [(h.target, h.rater) for h in expected]
+    for got, want in zip(actual, expected):
+        assert _evidence_equal(got.evidence, want.evidence), \
+            (got.target, got.rater)
 
 
 def assert_reports_identical(actual, expected):
@@ -138,10 +153,22 @@ class TestInterleavedEquivalence:
                 mapping.close()
                 online = fresh
             elif op[0] == "peek":
+                self._check_full_screen(online)
                 self._check(online.end_period(reset=False), window, tmp)
             elif op[0] == "end_period":
+                self._check_full_screen(online)
                 self._check(online.end_period(), window, tmp)
                 window = []
+
+    def _check_full_screen(self, online):
+        # Copies, so the detector under test keeps its incremental
+        # state; each gets a fresh op counter (its lock cannot be
+        # copied).
+        incremental = copy.deepcopy(
+            online, {id(online.ops): OpCounter()}).period_candidates()
+        reference = copy.deepcopy(
+            online, {id(online.ops): OpCounter()}).full_screen()
+        assert_halves_identical(incremental, reference)
 
     def _check(self, report, window, tmp):
         for backend in available_backends():

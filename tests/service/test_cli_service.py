@@ -250,33 +250,3 @@ class TestServe:
                 proc.kill()
                 pytest.fail("serve did not shut down on SIGINT")
         assert proc.returncode == 0
-
-
-class TestLoadtest:
-    LOAD_ARGS = ["loadtest", "--n", "40", "--t-n", "40",
-                 "--events-per-stage", "400", "--warmup", "100",
-                 "--batch", "50"]
-
-    def test_thread_mode_table(self, capsys):
-        code = main([*self.LOAD_ARGS, "--rates", "max"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mode=thread" in out
-        assert "saturation knee" in out
-
-    def test_process_mode_json(self, capsys):
-        code = main([*self.LOAD_ARGS, "--workers", "2",
-                     "--rates", "1000,max", "--json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["mode"] == "process"
-        assert doc["shards"] == 2
-        assert len(doc["stages"]) == 2
-        assert doc["stages"][0]["mode"] == "open"
-        assert doc["stages"][1]["mode"] == "closed"
-
-    def test_bad_rates_rejected(self, capsys):
-        code = main([*self.LOAD_ARGS, "--rates", "fast"])
-        assert code == 2
-        assert "rate" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Tests for the HTTP query API (real sockets on an ephemeral port)."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -28,6 +30,24 @@ def request(url, payload=None, method=None):
     except urllib.error.HTTPError as exc:
         body = exc.read()
         return exc.code, json.loads(body or b"{}"), dict(exc.headers)
+
+
+def raw_post_status(url, content_length, body):
+    """Status code of a hand-framed ``POST /ratings``.
+
+    urllib always frames requests correctly, so malformed framing goes
+    over a raw socket.  A server that hangs or drops the connection
+    fails the call instead of returning a status.
+    """
+    address = urlparse(url)
+    with socket.create_connection((address.hostname, address.port),
+                                  timeout=5) as sock:
+        sock.sendall(b"POST /ratings HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: " + content_length + b"\r\n\r\n"
+                     + body)
+        head = sock.recv(4096)
+    assert head, "connection closed with no response"
+    return int(head.split()[1])
 
 
 @pytest.fixture
@@ -155,6 +175,18 @@ class TestIngestEndpoint:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=10)
         assert exc.value.code == 400
+
+    def test_invalid_utf8_body_400(self, served):
+        _service, url = served
+        assert raw_post_status(url, b"3", b"\xff\xfe{") == 400
+
+    def test_non_integer_content_length_400(self, served):
+        _service, url = served
+        assert raw_post_status(url, b"abc", b"{}") == 400
+
+    def test_negative_content_length_400(self, served):
+        _service, url = served
+        assert raw_post_status(url, b"-1", b"{}") == 400
 
     @pytest.mark.parametrize("record", [
         {"rater": 1, "target": 1, "value": 1},     # self-rating
