@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -196,32 +196,54 @@ def append_jsonl(path: PathLike, events: Iterable[Rating]) -> int:
         return write_jsonl_events(handle, events)
 
 
+def _integral(raw: Any, field: str, where: str) -> int:
+    """A non-``int`` JSON id or value as an ``int``, or a :class:`TraceError`.
+
+    JSON has one number type, so the integral float ``3.0`` is the id 3.
+    ``true``, ``1.9``, ``1e400`` (``inf``) and ``NaN`` are not integers;
+    ``int()`` would truncate the first two silently and raise a bare
+    ``OverflowError`` or ``ValueError`` on the others.
+    """
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise TraceError(f"{where}: {field} must be an integer, got {raw!r}")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"{where}: {field}: {exc}") from None
+
+
 def decode_jsonl(line: str, n: Optional[int] = None,
                  where: str = "<jsonl>") -> Rating:
     """Parse one JSONL line into a validated :class:`Rating`.
 
-    Applies the same checks as live ingestion: the :class:`Rating`
-    constructor rejects self-ratings, bad values and negative ids, and
-    an optional universe size ``n`` bounds the ids.  ``where`` names the
-    source (``path:line``) in error messages.
+    Applies the same checks as live ingestion: ``rater``, ``target``
+    and ``value`` must be integers (booleans and fractions are
+    refused, integral floats accepted), the :class:`Rating` constructor
+    rejects self-ratings, bad values and negative ids, and an optional
+    universe size ``n`` bounds the ids.  ``where`` names the source
+    (``path:line``) in error messages.
     """
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or an integer past the digit limit;
+        # RecursionError: nesting deeper than the parser's stack.
         raise TraceError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(record, dict):
         raise TraceError(f"{where}: expected a JSON object, got {type(record).__name__}")
     missing = {"rater", "target", "value"} - set(record)
     if missing:
         raise TraceError(f"{where}: missing fields {sorted(missing)}")
+    rater, target, value = record["rater"], record["target"], record["value"]
+    # Plain ints, the whole of a well-formed trace, skip the per-field
+    # call: batch jobs decode every line of a trace through here.
+    if type(rater) is not int or type(target) is not int or type(value) is not int:
+        rater = _integral(rater, "rater", where)
+        target = _integral(target, "target", where)
+        value = _integral(value, "value", where)
     try:
-        rating = Rating(
-            rater=int(record["rater"]),
-            target=int(record["target"]),
-            value=int(record["value"]),
-            time=float(record.get("time", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
+        rating = Rating(rater, target, value, float(record.get("time", 0.0)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"{where}: {exc}") from None
     if n is not None and (rating.rater >= n or rating.target >= n):
         raise TraceError(

@@ -64,6 +64,7 @@ __all__ = ["ServiceHTTPServer"]
 
 _REPUTATION_RE = re.compile(r"^/reputation/(\d+)$")
 _MAX_BODY = 8 * 1024 * 1024  # 8 MiB request cap — bound memory per request
+_WRITE_BUFFER = 64 * 1024  # responses up to this size leave in one send
 
 
 class _Server(ThreadingHTTPServer):
@@ -82,6 +83,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # One send per response: a response split over two sends waits, after
+    # the first, on Nagle until the client's delayed ACK (up to 40 ms on
+    # Linux).  The stdlib sets TCP_NODELAY on each accepted socket, and
+    # handle_one_request flushes the buffered wfile once per request, so
+    # a response of up to _WRITE_BUFFER bytes leaves in one write.
+    disable_nagle_algorithm = True
+    wbufsize = _WRITE_BUFFER
 
     @property
     def service(self) -> DetectionService:
@@ -91,6 +99,13 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------
     def log_message(self, *_args: object) -> None:  # quiet by default
         pass
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client now, not with the
+        # buffered final response: the client waits for it to send the body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def _send_json(self, status: int, payload: Dict[str, object],
                    headers: Optional[Dict[str, str]] = None) -> None:
@@ -186,7 +201,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             document = json.loads(body or b"{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, undecodable UTF-8 or an integer
+            # past the digit limit; RecursionError: nesting deeper than
+            # the parser's stack.
             return self._error(400, f"invalid JSON body: {exc}")
         if isinstance(document, dict) and "ratings" in document:
             records = document["ratings"]

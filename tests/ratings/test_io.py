@@ -1,4 +1,4 @@
-"""Tests for ledger persistence (CSV / NPZ round-trips)."""
+"""Tests for ledger persistence (CSV / NPZ / JSONL)."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.errors import TraceError
 from repro.ratings.events import Rating
 from repro.ratings.io import (
     append_jsonl,
+    decode_jsonl,
     iter_jsonl,
     load_csv,
     load_jsonl,
@@ -196,3 +197,53 @@ class TestJsonl:
         assert len(ledger) == 3
         explicit = load_jsonl(path, n=10)
         assert explicit.n == 10
+
+
+# Lines json.loads accepts (or overflows on) that are not ratings: each
+# must be a TraceError, never a bare RecursionError or OverflowError or
+# a silently truncated id.  ``named`` is what the message must say.
+UNREPRESENTABLE = [
+    pytest.param("[" * 100_000, "invalid JSON", id="deep-nesting"),
+    pytest.param('{"rater": 3, "target": 2, "value": 1e400}', "value",
+                 id="inf-value"),
+    pytest.param('{"rater": 3, "target": 2, "value": 1, "time": 1'
+                 + "0" * 400 + "}", "too large", id="time-overflow"),
+    pytest.param('{"rater": ' + "1" * 5000 + ', "target": 2, "value": 1}',
+                 "invalid JSON", id="digit-limit"),
+    pytest.param('{"rater": 1.9, "target": 2, "value": 1}', "rater",
+                 id="fractional-rater"),
+    pytest.param('{"rater": true, "target": 2, "value": 1}', "rater",
+                 id="boolean-rater"),
+    pytest.param('{"rater": 1, "target": 2.5, "value": 1}', "target",
+                 id="fractional-target"),
+    pytest.param('{"rater": 1, "target": false, "value": 1}', "target",
+                 id="boolean-target"),
+    pytest.param('{"rater": 1, "target": 2, "value": -0.5}', "value",
+                 id="fractional-value"),
+    pytest.param('{"rater": 1, "target": 2, "value": true}', "value",
+                 id="boolean-value"),
+    pytest.param('{"rater": NaN, "target": 2, "value": 1}', "rater",
+                 id="nan-rater"),
+]
+
+
+class TestJsonlNumbers:
+    @pytest.mark.parametrize("line, named", UNREPRESENTABLE)
+    def test_decode_rejects(self, line, named):
+        with pytest.raises(TraceError, match=named) as exc:
+            decode_jsonl(line, where="trace:7")
+        assert str(exc.value).startswith("trace:7: ")
+
+    @pytest.mark.parametrize("line, named", UNREPRESENTABLE)
+    def test_load_rejects_with_line_number(self, tmp_path, line, named):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"rater": 0, "target": 1, "value": 1}\n'
+                        + line + "\n")
+        with pytest.raises(TraceError, match=named) as exc:
+            load_jsonl(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_integral_floats_are_ints(self):
+        rating = decode_jsonl('{"rater": 3.0, "target": 2, "value": -1.0}')
+        assert rating == Rating(3, 2, -1)
+        assert type(rating.rater) is int and type(rating.value) is int

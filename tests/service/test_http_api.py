@@ -32,22 +32,41 @@ def request(url, payload=None, method=None):
         return exc.code, json.loads(body or b"{}"), dict(exc.headers)
 
 
-def raw_post_status(url, content_length, body):
-    """Status code of a hand-framed ``POST /ratings``.
+def read_response(sock):
+    """``(status, headers, body)`` of one response read off ``sock``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed with no response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    while len(body) < int(headers["Content-Length"]):
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return int(status_line.split()[1]), headers, body
 
-    urllib always frames requests correctly, so malformed framing goes
-    over a raw socket.  A server that hangs or drops the connection
-    fails the call instead of returning a status.
+
+def raw_post(url, body, content_length=None):
+    """``(status, document)`` of a hand-framed ``POST /ratings``.
+
+    urllib always frames requests correctly, and ``json.dumps`` cannot
+    write every malformed document, so these go over a raw socket.  A
+    server that hangs or drops the connection fails the call instead of
+    returning a status.  ``content_length`` defaults to the body's.
     """
+    if content_length is None:
+        content_length = str(len(body)).encode()
     address = urlparse(url)
     with socket.create_connection((address.hostname, address.port),
                                   timeout=5) as sock:
         sock.sendall(b"POST /ratings HTTP/1.1\r\nHost: test\r\n"
                      b"Content-Length: " + content_length + b"\r\n\r\n"
                      + body)
-        head = sock.recv(4096)
-    assert head, "connection closed with no response"
-    return int(head.split()[1])
+        status, _headers, payload = read_response(sock)
+    return status, json.loads(payload)
 
 
 @pytest.fixture
@@ -61,6 +80,34 @@ def served(tmp_path):
     yield service, http.url
     http.shutdown()
     service.stop()
+
+
+@pytest.fixture
+def server_writes(served, monkeypatch):
+    """Each write the served HTTP server makes: ``(nodelay, bytes)``.
+
+    A stream handler writes through ``socket.send`` (buffered wfile) or
+    ``socket.sendall`` (unbuffered); both are recorded.  The client's
+    writes come from an ephemeral local port, so only writes from the
+    server's port are kept.
+    """
+    port = urlparse(served[1]).port
+    writes = []
+
+    def recording(original):
+        def write(sock, data, *args):
+            if (sock.family in (socket.AF_INET, socket.AF_INET6)
+                    and sock.getsockname()[1] == port):
+                nodelay = sock.getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+                writes.append((nodelay, bytes(data)))
+            return original(sock, data, *args)
+        return write
+
+    for name in ("send", "sendall"):
+        monkeypatch.setattr(socket.socket, name,
+                            recording(getattr(socket.socket, name)))
+    return writes
 
 
 class TestQueries:
@@ -178,21 +225,49 @@ class TestIngestEndpoint:
 
     def test_invalid_utf8_body_400(self, served):
         _service, url = served
-        assert raw_post_status(url, b"3", b"\xff\xfe{") == 400
+        assert raw_post(url, b"\xff\xfe{", b"3")[0] == 400
 
     def test_non_integer_content_length_400(self, served):
         _service, url = served
-        assert raw_post_status(url, b"abc", b"{}") == 400
+        assert raw_post(url, b"{}", b"abc")[0] == 400
 
     def test_negative_content_length_400(self, served):
         _service, url = served
-        assert raw_post_status(url, b"-1", b"{}") == 400
+        assert raw_post(url, b"{}", b"-1")[0] == 400
+
+    @pytest.mark.parametrize("body, named", [
+        (b"[" * 100_000, "invalid JSON"),
+        (b'{"rater": 3, "target": 2, "value": 1e400}', "value"),
+        (b'{"rater": 3, "target": 2, "value": 1, "time": 1'
+         + b"0" * 400 + b"}", "too large"),
+        (b'{"rater": ' + b"1" * 5000 + b', "target": 2, "value": 1}',
+         "invalid JSON"),
+    ], ids=["deep-nesting", "inf-value", "time-overflow", "digit-limit"])
+    def test_unrepresentable_body_400(self, served, body, named):
+        service, url = served
+        status, doc = raw_post(url, body)
+        assert status == 400
+        assert named in doc["error"]
+        assert service.epoch_events == 0
+
+    def test_integral_float_ids_accepted(self, served):
+        service, url = served
+        status, _doc, _ = request(f"{url}/ratings", payload={
+            "rater": 3.0, "target": 2, "value": -1.0})
+        assert status == 202
+        assert service.epoch_events == 1
 
     @pytest.mark.parametrize("record", [
         {"rater": 1, "target": 1, "value": 1},     # self-rating
         {"rater": 1, "target": 0, "value": 5},     # bad value
         {"rater": 1, "target": 99, "value": 1},    # outside universe
         {"rater": 1, "value": 1},                  # missing field
+        {"rater": 1.9, "target": 2, "value": 1},   # fractional id
+        {"rater": True, "target": 2, "value": 1},
+        {"rater": 1, "target": 2.5, "value": 1},
+        {"rater": 1, "target": False, "value": 1},
+        {"rater": 1, "target": 2, "value": 0.5},   # fractional value
+        {"rater": 1, "target": 2, "value": True},
     ])
     def test_invalid_rating_400(self, served, record):
         _service, url = served
@@ -226,6 +301,69 @@ class TestIngestEndpoint:
             service.workers[0].finish_call(token)
             http.shutdown()
             service.stop()
+
+
+class TestResponseFraming:
+    """Each response leaves in one write on a TCP_NODELAY socket.
+
+    Sent as two writes, the body waited on Nagle for the client's
+    delayed ACK of the headers; these tests read no clock.
+    """
+
+    @pytest.mark.parametrize("path, payload, status", [
+        ("/ratings", {"rater": 1, "target": 0, "value": 1}, 202),
+        ("/healthz", None, 200),
+        ("/ratings", {"rater": 1, "target": 1, "value": 1}, 400),
+    ], ids=["accepted-202", "healthz-200", "self-rating-400"])
+    def test_response_is_one_write(self, served, server_writes, path,
+                                   payload, status):
+        _service, url = served
+        got, doc, _ = request(url + path, payload)
+        assert got == status
+        assert len(server_writes) == 1
+        _nodelay, data = server_writes[0]
+        assert data.startswith(b"HTTP/1.1 %d " % status)
+        assert data.endswith(b"\r\n\r\n" + json.dumps(doc).encode())
+
+    def test_accepted_socket_has_nodelay(self, served, server_writes):
+        _service, url = served
+        assert request(f"{url}/healthz")[0] == 200
+        assert server_writes
+        assert all(nodelay for nodelay, _data in server_writes)
+
+    def test_framing_error_is_one_write_then_closes(self, served,
+                                                    server_writes):
+        _service, url = served
+        address = urlparse(url)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /ratings HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: abc\r\n\r\n{}")
+            status, headers, _body = read_response(sock)
+            assert (status, headers["Connection"]) == (400, "close")
+            assert sock.recv(4096) == b""
+        assert len(server_writes) == 1
+
+    def test_expect_100_continue_sent_before_body(self, served):
+        # The buffered wfile must not hold the interim 100 back: the
+        # client sends the body only after it arrives.
+        service, url = served
+        body = b'{"rater": 1, "target": 0, "value": 1}'
+        address = urlparse(url)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"POST /ratings HTTP/1.1\r\nHost: test\r\n"
+                         b"Expect: 100-continue\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)
+                assert chunk, "connection closed before 100 Continue"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            assert read_response(sock)[0] == 202
+        assert service.epoch_events == 1
 
 
 class TestAdminEndpoints:
