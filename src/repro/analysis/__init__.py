@@ -11,8 +11,6 @@ tests happen to exercise):
   shared :class:`~repro.util.counters.OpCounter` on *every* call path
   (interprocedural: a sweep in a private helper is fine when each
   public entry point that reaches it charges);
-* **REP003 thread-handle** — threads started in ``service/`` keep a
-  joinable handle;
 * **REP004 determinism** — no ambient randomness or wall-clock reads
   in the seeded simulation/detection layers;
 * **REP005 schema-versioning** — persisted JSON artifacts go through
@@ -29,31 +27,24 @@ tests happen to exercise):
   ``SharedMemory``/tmp-file acquisitions are released on every CFG
   path (``with``, ``close()`` in ``finally``, or a first-party
   hand-off);
-* **REP010 input-taint** — HTTP request fields reach filesystem or
-  shard/epoch-index sinks only through a validator;
 * **REP011 inconsistent-guard** — every shared attribute of a
-  lock-owning service class is accessed under one consistent lock;
-* **REP012 cross-process** — state crossing a process spawn flows
-  through a Queue or Pipe.
+  lock-owning service class is accessed under one consistent lock.
 
-REP002, REP006, REP009, REP011 and REP012 are *whole-program* rules:
-the engine summarises every file
+REP002, REP006, REP009 and REP011 are *whole-program* rules: the
+engine summarises every file
 (:func:`~repro.analysis.callgraph.summarize_module`), links the
 summaries into a :class:`~repro.analysis.callgraph.ProgramContext`
-call graph, and runs them once over the linked program.  REP008 and
-REP010 are path-sensitive: they run dataflow fixpoints
-(:mod:`repro.analysis.dataflow`) over per-function control-flow
-graphs (:mod:`repro.analysis.cfg`).  Per-file summaries are cached on
-disk (:class:`~repro.analysis.cache.AnalysisCache`) keyed by content
-hash and a signature covering the active rules plus a hash of this
-package's own sources.
+call graph, and runs them once over the linked program.  REP008 is
+path-sensitive: it runs reachability closures over per-function
+control-flow graphs (:mod:`repro.analysis.cfg`).  One lint is one
+serial, in-process pass over the tree, with nothing cached between
+runs.
 
 Entry points: ``repro lint`` (and ``tools/reprolint``), a single gate
 that fails on any finding.  See docs/STATIC_ANALYSIS.md for the rule
 catalogue.
 """
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.callgraph import (
     ModuleSummary,
     ProgramContext,
@@ -64,7 +55,6 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules, register, rule_index
 
 __all__ = [
-    "AnalysisCache",
     "Finding",
     "LintResult",
     "ModuleSummary",

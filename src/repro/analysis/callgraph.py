@@ -3,8 +3,7 @@
 Per-file :class:`ModuleSummary` objects capture everything the
 cross-file rules need — functions with their call references, ops
 charges, matrix-sweep sites, lock acquisitions and the calls made while
-holding each lock — in a plain-dict-serializable form so the analysis
-cache (:mod:`repro.analysis.cache`) can persist them between runs.
+holding each lock.
 
 :class:`ProgramContext` links the summaries into a call graph:
 
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import EXC, build_cfg
 
@@ -110,7 +109,7 @@ def module_name(module_path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Serializable summary records
+# Summary records
 
 
 @dataclass
@@ -119,13 +118,6 @@ class Site:
 
     line: int
     col: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Site":
-        return cls(int(data["line"]), int(data["col"]))
 
 
 @dataclass
@@ -154,23 +146,6 @@ class CallRef:
     var_class: str = ""
     is_ref: bool = False
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "chain": list(self.chain),
-            "var_class": self.var_class,
-            "is_ref": self.is_ref,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallRef":
-        return cls(
-            str(data["kind"]),
-            tuple(str(c) for c in data["chain"]),
-            str(data.get("var_class", "")),
-            bool(data.get("is_ref", False)),
-        )
-
 
 @dataclass
 class LockAcquire:
@@ -178,13 +153,6 @@ class LockAcquire:
 
     attr: str
     site: Site
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"attr": self.attr, "site": self.site.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LockAcquire":
-        return cls(str(data["attr"]), Site.from_dict(data["site"]))
 
 
 @dataclass
@@ -194,13 +162,11 @@ class AttrAccess:
     The unit of evidence for the lockset layer
     (:mod:`repro.analysis.lockset`): ``held`` names the lock attributes
     of the enclosing class lexically held at the access (via ``with
-    self.<lock>:`` regions), ``in_handler`` marks except/finally bodies
-    (the rollback convention the guard rules exempt), and ``method`` is
-    set when the access is the receiver of a ``self.<attr>.<m>(...)``
-    call — how the cross-process rule recognizes queue/Pipe mediation.
-    ``kind`` is ``write`` for assignments (including subscript stores
-    and attribute stores through the object) and in-place mutator
-    calls, ``read`` otherwise.
+    self.<lock>:`` regions), and ``in_handler`` marks except/finally
+    bodies (the rollback convention the guard rules exempt).  ``kind``
+    is ``write`` for assignments (including subscript stores and
+    attribute stores through the object) and in-place mutator calls,
+    ``read`` otherwise.
     """
 
     attr: str
@@ -208,36 +174,14 @@ class AttrAccess:
     site: Site
     held: Tuple[str, ...] = ()
     in_handler: bool = False
-    method: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "attr": self.attr,
-            "kind": self.kind,
-            "site": self.site.to_dict(),
-            "held": list(self.held),
-            "in_handler": self.in_handler,
-            "method": self.method,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AttrAccess":
-        return cls(
-            attr=str(data["attr"]),
-            kind=str(data["kind"]),
-            site=Site.from_dict(data["site"]),
-            held=tuple(str(h) for h in data["held"]),
-            in_handler=bool(data["in_handler"]),
-            method=str(data["method"]),
-        )
 
 
 @dataclass
 class ResourceFact:
     """One resource acquisition (REP009's unit of evidence).
 
-    Computed per function over the CFG at summary time so the result
-    is cacheable; the whole-program pass only has to decide whether
+    Computed per function over the CFG at summary time; the
+    whole-program pass only has to decide whether
     recorded hand-offs resolve to first-party callees (transfer) or
     not (leak).
 
@@ -258,29 +202,6 @@ class ResourceFact:
     escapes: bool = False       # bound straight to an attribute/subscript
     released: bool = True
     handoffs: List[CallRef] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "var": self.var,
-            "kind": self.kind,
-            "site": self.site.to_dict(),
-            "managed": self.managed,
-            "escapes": self.escapes,
-            "released": self.released,
-            "handoffs": [c.to_dict() for c in self.handoffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResourceFact":
-        return cls(
-            var=str(data["var"]),
-            kind=str(data["kind"]),
-            site=Site.from_dict(data["site"]),
-            managed=bool(data["managed"]),
-            escapes=bool(data["escapes"]),
-            released=bool(data["released"]),
-            handoffs=[CallRef.from_dict(c) for c in data["handoffs"]],
-        )
 
 
 @dataclass
@@ -309,68 +230,8 @@ class FunctionSummary:
     #: recorded only for methods of lock-owning classes (elsewhere the
     #: held set is always empty and ``calls`` carries the same refs).
     call_locksets: List[Tuple[CallRef, Tuple[str, ...]]] = field(default_factory=list)
-    #: ``(kind, callable ref)`` for ``target=`` arguments handed to
-    #: ``Thread``/``Process`` constructors; kind is thread|process.
-    spawn_targets: List[Tuple[str, CallRef]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "name": self.name,
-            "site": self.site.to_dict(),
-            "is_public": self.is_public,
-            "charges_ops": self.charges_ops,
-            "locked_convention": self.locked_convention,
-            "sweeps": [[s.to_dict(), desc] for s, desc in self.sweeps],
-            "calls": [c.to_dict() for c in self.calls],
-            "acquires": [a.to_dict() for a in self.acquires],
-            "held_acquires": [[a.to_dict(), b.to_dict()] for a, b in self.held_acquires],
-            "held_calls": [[a.to_dict(), c.to_dict()] for a, c in self.held_calls],
-            "resources": [r.to_dict() for r in self.resources],
-            "accesses": [a.to_dict() for a in self.accesses],
-            "call_locksets": [
-                [c.to_dict(), list(held)] for c, held in self.call_locksets
-            ],
-            "spawn_targets": [
-                [kind, c.to_dict()] for kind, c in self.spawn_targets
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            cls=str(data["cls"]),
-            name=str(data["name"]),
-            site=Site.from_dict(data["site"]),
-            is_public=bool(data["is_public"]),
-            charges_ops=bool(data["charges_ops"]),
-            locked_convention=bool(data["locked_convention"]),
-            sweeps=[(Site.from_dict(s), str(d)) for s, d in data["sweeps"]],
-            calls=[CallRef.from_dict(c) for c in data["calls"]],
-            acquires=[LockAcquire.from_dict(a) for a in data["acquires"]],
-            held_acquires=[
-                (LockAcquire.from_dict(a), LockAcquire.from_dict(b))
-                for a, b in data["held_acquires"]
-            ],
-            held_calls=[
-                (LockAcquire.from_dict(a), CallRef.from_dict(c))
-                for a, c in data["held_calls"]
-            ],
-            resources=[ResourceFact.from_dict(r)
-                       for r in data.get("resources", [])],
-            accesses=[AttrAccess.from_dict(a)
-                      for a in data.get("accesses", [])],
-            call_locksets=[
-                (CallRef.from_dict(c), tuple(str(h) for h in held))
-                for c, held in data.get("call_locksets", [])
-            ],
-            spawn_targets=[
-                (str(kind), CallRef.from_dict(c))
-                for kind, c in data.get("spawn_targets", [])
-            ],
-        )
+    #: Callable refs handed as ``target=`` to ``Thread``/``Process``.
+    spawn_targets: List[CallRef] = field(default_factory=list)
 
 
 @dataclass
@@ -383,25 +244,6 @@ class ClassSummary:
     attr_types: Dict[str, str] = field(default_factory=dict)
     lock_attrs: Dict[str, str] = field(default_factory=dict)  # attr -> Lock|RLock
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-            "lock_attrs": dict(self.lock_attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]),
-            bases=[str(b) for b in data["bases"]],
-            methods=[str(m) for m in data["methods"]],
-            attr_types={str(k): str(v) for k, v in data["attr_types"].items()},
-            lock_attrs={str(k): str(v) for k, v in data["lock_attrs"].items()},
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -413,34 +255,9 @@ class ModuleSummary:
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "module_path": self.module_path,
-            "display_path": self.display_path,
-            "imports": dict(self.imports),
-            "functions": {q: f.to_dict() for q, f in self.functions.items()},
-            "classes": {n: c.to_dict() for n, c in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module_path=str(data["module_path"]),
-            display_path=str(data["display_path"]),
-            imports={str(k): str(v) for k, v in data["imports"].items()},
-            functions={
-                str(q): FunctionSummary.from_dict(f)
-                for q, f in data["functions"].items()
-            },
-            classes={
-                str(n): ClassSummary.from_dict(c)
-                for n, c in data["classes"].items()
-            },
-        )
-
 
 # ---------------------------------------------------------------------------
-# Summarization (one AST pass per file; result is cacheable)
+# Summarization (one AST pass per file)
 
 
 def _ctor_chain(value: ast.AST) -> Optional[List[str]]:
@@ -634,7 +451,7 @@ _MUTATOR_METHODS = frozenset({
 })
 
 #: Constructors whose ``target=`` keyword names concurrently-run code.
-_SPAWN_CTORS = {"Thread": "thread", "Process": "process"}
+_SPAWN_CTORS = frozenset({"Thread", "Process"})
 
 
 class _AccessWalker:
@@ -642,8 +459,8 @@ class _AccessWalker:
 
     Tracks the lexically held ``with self.<lock>:`` set and whether the
     access sits inside an except/finally body.  Runs for *every*
-    function — classes without locks still contribute the access sites
-    the cross-process rule needs — and, for methods of lock-owning
+    function — a lockless class reachable from a spawn target still
+    has shared attributes — and, for methods of lock-owning
     classes, additionally records every call site with its exact held
     set (``call_locksets``) for the interprocedural entry-lockset
     propagation.  Nested defs and lambdas inherit the held set, the
@@ -741,8 +558,7 @@ class _AccessWalker:
                 consumed.add(id(receiver))
                 kind = ("write" if node.func.attr in _MUTATOR_METHODS
                         else "read")
-                self._record(chain[1], kind, node, held, False,
-                             method=node.func.attr)
+                self._record(chain[1], kind, node, held, False)
         if self.record_calls:
             ref = _classify_call(node.func, self.var_types)
             if ref is not None:
@@ -756,12 +572,10 @@ class _AccessWalker:
                 if kw.arg == "target":
                     target_ref = _classify_ref(kw.value)
                     if target_ref is not None:
-                        self.fn.spawn_targets.append(
-                            (_SPAWN_CTORS[chain[-1]], target_ref))
+                        self.fn.spawn_targets.append(target_ref)
 
     def _record(self, attr: str, kind: str, node: ast.AST,
-                held: Tuple[str, ...], in_handler: bool,
-                method: str = "") -> None:
+                held: Tuple[str, ...], in_handler: bool) -> None:
         self.fn.accesses.append(AttrAccess(
             attr=attr,
             kind=kind,
@@ -769,7 +583,6 @@ class _AccessWalker:
                       getattr(node, "col_offset", 0)),
             held=held,
             in_handler=in_handler,
-            method=method,
         ))
 
     @staticmethod
@@ -1022,7 +835,7 @@ def _collect_resources(fn: ast.AST,
 
 def summarize_module(module_path: str, display_path: str, source: str,
                      tree: Optional[ast.Module] = None) -> ModuleSummary:
-    """Build the serializable whole-program summary of one file."""
+    """Build the whole-program summary of one file."""
     if tree is None:
         tree = ast.parse(source)
     mod_name = module_name(module_path)

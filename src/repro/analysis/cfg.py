@@ -1,8 +1,8 @@
-"""Per-function control-flow graphs for the dataflow layer.
+"""Per-function control-flow graphs for the path-sensitive rules.
 
 The graph is statement-granular: every simple statement is its own
 node (a degenerate basic block — one statement per block keeps the
-transfer functions trivial and the node count small, functions here
+per-node checks trivial and the node count small, functions here
 run tens of statements, not thousands).  Compound statements
 contribute *header* nodes (``test`` for ``if``/``while``/``for``,
 ``stmt`` for ``with``) plus the nodes of their bodies; ``try`` adds

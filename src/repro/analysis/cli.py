@@ -1,7 +1,9 @@
-"""The ``repro lint`` command-line front end.
+"""The ``repro lint`` command: one serial pass, one gate.
 
-``repro lint`` is a single gate: every selected rule runs over the
-whole tree, and any finding fails the run.
+``repro lint`` runs every selected rule over the whole tree, and any
+finding fails the run.  ``repro.cli`` declares the options and imports
+this module only when the command runs, so other commands never load
+the analysis package.
 
 Exit codes
 ----------
@@ -17,57 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.analysis.engine import (
-    compute_guards,
-    default_package_root,
-    lint_package,
-)
+from repro.analysis.engine import compute_guards, lint_package
 from repro.analysis.registry import all_rules
 from repro.analysis.reporter import render_json, render_text
 from repro.errors import ReproError
 
-__all__ = ["add_lint_arguments", "run_lint", "main"]
-
-
-def _default_cache_dir() -> pathlib.Path:
-    """``.reprolint-cache/`` at the repo root of a checkout, else cwd.
-
-    A source checkout is recognised by the ``pyproject.toml`` two
-    levels above the package (``src/repro`` → repo root), so the
-    command works from any directory of a checkout; installed copies
-    fall back to the current directory.
-    """
-    repo_root = default_package_root().parents[1]
-    if not (repo_root / "pyproject.toml").exists():
-        repo_root = pathlib.Path.cwd()
-    return repo_root / ".reprolint-cache"
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["text", "json"],
-                        default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--rules", default="",
-                        help="comma-separated rule ids to run "
-                             "(default: every registered rule)")
-    parser.add_argument("--root", default=None,
-                        help="package directory to lint "
-                             "(default: the installed repro package)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="analysis cache directory (default: "
-                             ".reprolint-cache/ at the repo root)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-file analysis cache")
-    parser.add_argument("--guards", action="store_true",
-                        help="print the inferred guarded-by table "
-                             "(attribute -> protecting lock -> access "
-                             "sites) instead of findings")
-    parser.add_argument("--explain", action="store_true",
-                        help="describe each rule's invariant and exit")
+__all__ = ["run_lint"]
 
 
 def _explain(only: Sequence[str]) -> int:
@@ -82,10 +42,9 @@ def _explain(only: Sequence[str]) -> int:
     return 0
 
 
-def _print_guards(args: argparse.Namespace,
-                  cache_dir: Optional[pathlib.Path]) -> int:
+def _print_guards(args: argparse.Namespace) -> int:
     """Render the inferred guarded-by table (text or json)."""
-    rows = compute_guards(root=args.root, cache_dir=cache_dir)
+    rows = compute_guards(root=args.root)
     if args.format == "json":
         print(json.dumps(
             {"tool": "reprolint", "guards": [row.to_dict() for row in rows]},
@@ -112,13 +71,9 @@ def run_lint(args: argparse.Namespace) -> int:
     try:
         if args.explain:
             return _explain(only)
-        cache_dir: Optional[pathlib.Path] = None
-        if not args.no_cache:
-            cache_dir = (pathlib.Path(args.cache_dir) if args.cache_dir
-                         else _default_cache_dir())
         if args.guards:
-            return _print_guards(args, cache_dir)
-        result = lint_package(root=args.root, only=only, cache_dir=cache_dir)
+            return _print_guards(args)
+        result = lint_package(root=args.root, only=only)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -128,16 +83,3 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(result))
     return 1 if result.findings or result.errors else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="AST-based invariant linter for the repro package",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -2,14 +2,11 @@
 
 :func:`lint_package` walks every ``*.py`` under the installed
 ``repro`` package (or any directory standing in for it) and runs two
-passes:
+passes, serially and in-process:
 
 1. **per-file** — each registered per-file rule whose scope matches
    the file's *module path* (its posix path relative to the package
-   root), plus the :mod:`~repro.analysis.callgraph` summarizer.  This
-   pass is cached per file (:mod:`~repro.analysis.cache`) keyed on
-   mtime and content hash, and fans out over a process pool sized
-   from ``os.cpu_count()``.
+   root), plus the :mod:`~repro.analysis.callgraph` summarizer.
 2. **whole-program** — the summaries are linked into a
    :class:`~repro.analysis.callgraph.ProgramContext` and every rule
    with ``whole_program = True`` runs once over the call graph
@@ -23,12 +20,10 @@ exactly what the cross-file fixtures exercise.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.cache import AnalysisCache, analysis_digest
 from repro.analysis.callgraph import ModuleSummary, ProgramContext, summarize_module
 from repro.analysis.findings import Finding
 from repro.analysis.lockset import GuardRow, LocksetAnalysis
@@ -54,8 +49,6 @@ class LintResult:
     #: ``(display_path, message)`` for files that failed to parse.
     errors: List[Tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-    #: Files the per-file pass analysed rather than read from the cache.
-    files_analyzed: int = 0
 
 
 def default_package_root() -> pathlib.Path:
@@ -70,55 +63,18 @@ def _sort_key(finding: Finding) -> Tuple[str, int, int, str]:
 
 
 # ---------------------------------------------------------------------------
-# Per-file pass (cacheable)
+# Per-file pass
 
 
 @dataclass
 class FileRecord:
-    """The cacheable per-file products of pass 1."""
+    """The per-file products of pass 1."""
 
     module_path: str
     display_path: str
     findings: List[Finding] = field(default_factory=list)
     summary: Optional[ModuleSummary] = None
     error: Optional[str] = None
-
-    def to_cache(self) -> Dict[str, Any]:
-        return {
-            "display_path": self.display_path,
-            "findings": [
-                {
-                    "rule": f.rule,
-                    "severity": f.severity,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                }
-                for f in self.findings
-            ],
-            "summary": self.summary.to_dict() if self.summary else None,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_cache(cls, module_path: str, data: Dict[str, Any]) -> "FileRecord":
-        display_path = str(data["display_path"])
-        record = cls(module_path=module_path, display_path=display_path)
-        record.findings = [
-            Finding(
-                rule=str(f["rule"]),
-                severity=str(f["severity"]),
-                path=display_path,
-                line=int(f["line"]),
-                col=int(f["col"]),
-                message=str(f["message"]),
-            )
-            for f in data["findings"]
-        ]
-        if data.get("summary") is not None:
-            record.summary = ModuleSummary.from_dict(data["summary"])
-        record.error = data.get("error")
-        return record
 
 
 def _analyze_file(
@@ -140,6 +96,33 @@ def _analyze_file(
     return record
 
 
+def _iter_sources(root: pathlib.Path) -> Iterable[pathlib.Path]:
+    for path in sorted(root.rglob("*.py")):
+        if any(part in _SKIP_DIRS for part in path.parts):
+            continue
+        yield path
+
+
+def _collect_records(pkg_root: pathlib.Path, per_file: Sequence[Rule],
+                     display_base: str) -> List[FileRecord]:
+    """The per-file pass over every source, in discovery order."""
+    records: List[FileRecord] = []
+    for path in _iter_sources(pkg_root):
+        module_path = path.relative_to(pkg_root).as_posix()
+        display = f"{display_base}/{module_path}" if display_base else module_path
+        source = path.read_text(encoding="utf-8")
+        records.append(_analyze_file(source, module_path, display, per_file))
+    return records
+
+
+def _summaries(records: Sequence[FileRecord]) -> Dict[str, ModuleSummary]:
+    return {
+        record.module_path: record.summary
+        for record in records
+        if record.summary is not None
+    }
+
+
 # ---------------------------------------------------------------------------
 # Whole-program pass
 
@@ -152,16 +135,11 @@ def _finalize(records: Sequence[FileRecord],
         if record.error is not None:
             result.errors.append((record.display_path, record.error))
 
-    if program_rules:
-        summaries = {
-            record.module_path: record.summary
-            for record in records
-            if record.summary is not None
-        }
-        if summaries:
-            program = ProgramContext(summaries)
-            for rule in program_rules:
-                result.findings.extend(rule.check_program(program))
+    summaries = _summaries(records)
+    if program_rules and summaries:
+        program = ProgramContext(summaries)
+        for rule in program_rules:
+            result.findings.extend(rule.check_program(program))
 
     result.findings.sort(key=_sort_key)
     return result
@@ -191,160 +169,34 @@ def lint_source(
     return _finalize([record], program)
 
 
-def _iter_sources(root: pathlib.Path) -> Iterable[pathlib.Path]:
-    for path in sorted(root.rglob("*.py")):
-        if any(part in _SKIP_DIRS for part in path.parts):
-            continue
-        yield path
-
-
-def _pool_analyze(
-    args: Tuple[str, str, str, Tuple[str, ...]],
-) -> Tuple[str, Dict[str, Any], str]:
-    """Process-pool worker: analyze one file, return cache-shaped data.
-
-    Takes and returns only picklable primitives; rules are
-    reconstructed from their ids inside the worker (the registry
-    repopulates on import).  The ``to_cache()`` dict round-trips
-    through :meth:`FileRecord.from_cache` in the parent — the exact
-    path every warm cache hit already takes, so parallel output is
-    byte-identical to serial.
-    """
-    path_str, module_path, display, rule_ids = args
-    per_file = [r for r in all_rules(list(rule_ids))
-                if not r.whole_program]
-    source = pathlib.Path(path_str).read_text(encoding="utf-8")
-    record = _analyze_file(source, module_path, display, per_file)
-    return module_path, record.to_cache(), source
-
-
-def _collect_records(
-    pkg_root: pathlib.Path,
-    per_file: Sequence[Rule],
-    cache: Optional[AnalysisCache],
-    display_base: str,
-    jobs: Optional[int],
-) -> Tuple[List[FileRecord], int]:
-    """The per-file pass: cache hits in-process, misses possibly pooled.
-
-    Returns the records in discovery order and how many files were
-    analysed rather than read from the cache.  With more than one job
-    (default: ``os.cpu_count()``) the misses fan out over a process
-    pool while the whole-program pass (and the cache itself) stay in
-    the parent.  Results are reassembled in discovery order, so the
-    findings and the saved cache are byte-identical to a serial run.
-    """
-    work: List[Tuple[pathlib.Path, str, str]] = []
-    for path in _iter_sources(pkg_root):
-        module_path = path.relative_to(pkg_root).as_posix()
-        display = f"{display_base}/{module_path}" if display_base else module_path
-        work.append((path, module_path, display))
-
-    records: Dict[str, FileRecord] = {}
-    misses: List[Tuple[pathlib.Path, str, str]] = []
-    for path, module_path, display in work:
-        if cache is not None:
-            cached = cache.lookup(module_path, path)
-            if cached is not None:
-                try:
-                    records[module_path] = FileRecord.from_cache(
-                        module_path, cached)
-                    continue
-                except (KeyError, TypeError, ValueError):
-                    pass  # corrupt entry: fall through and re-analyze
-        misses.append((path, module_path, display))
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(misses) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        rule_ids = tuple(r.rule_id for r in per_file)
-        pool_args = [(str(path), module_path, display, rule_ids)
-                     for path, module_path, display in misses]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (path, _mp, _display), (module_path, data, source) in zip(
-                    misses, pool.map(_pool_analyze, pool_args)):
-                records[module_path] = FileRecord.from_cache(module_path, data)
-                if cache is not None:
-                    cache.store(module_path, path, source, data)
-    else:
-        for path, module_path, display in misses:
-            source = path.read_text(encoding="utf-8")
-            record = _analyze_file(source, module_path, display, per_file)
-            records[module_path] = record
-            if cache is not None:
-                cache.store(module_path, path, source, record.to_cache())
-
-    if cache is not None:
-        cache.save()
-    ordered = [records[module_path] for _path, module_path, _display in work]
-    return ordered, len(misses)
-
-
-def _make_cache(
-    cache_dir: Optional[Union[str, pathlib.Path]],
-    per_file: Sequence[Rule],
-    program: Sequence[Rule],
-) -> Optional[AnalysisCache]:
-    if cache_dir is None:
-        return None
-    # The signature names the active rules and hashes the analysis
-    # package's own sources: cached findings and summaries are only
-    # valid for the exact code that produced them.
-    signature = ",".join(
-        [r.rule_id for r in list(per_file) + list(program)]
-        + [f"analysis={analysis_digest()}"]
-    )
-    return AnalysisCache(pathlib.Path(cache_dir), signature)
-
-
 def lint_package(
     root: Optional[Union[str, pathlib.Path]] = None,
     only: Sequence[str] = (),
     display_base: str = "src/repro",
-    cache_dir: Optional[Union[str, pathlib.Path]] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
     """Lint every python file under ``root`` (default: the repro package).
 
     ``display_base`` prefixes reported paths so findings render as
     repo-relative (``src/repro/core/basic.py:12``) regardless of where
-    the package is installed.  ``cache_dir`` enables the per-file
-    analysis cache; the whole-program pass always re-runs.  ``jobs``
-    sizes the per-file process pool (default: ``os.cpu_count()``,
-    serial at 1); the output is byte-identical at any size.
+    the package is installed.
     """
     pkg_root = pathlib.Path(root) if root is not None else default_package_root()
     per_file, program = _split_rules(only)
-    cache = _make_cache(cache_dir, per_file, program)
-    records, analyzed = _collect_records(pkg_root, per_file, cache,
-                                         display_base, jobs)
-    result = _finalize(records, program)
-    result.files_analyzed = analyzed
-    return result
+    return _finalize(_collect_records(pkg_root, per_file, display_base),
+                     program)
 
 
 def compute_guards(
     root: Optional[Union[str, pathlib.Path]] = None,
-    cache_dir: Optional[Union[str, pathlib.Path]] = None,
 ) -> List[GuardRow]:
     """The inferred guarded-by table for the package under ``root``.
 
-    Runs the same per-file pass as :func:`lint_package` (sharing its
-    cache — the summaries carry all the evidence), links the program
+    Summarizes every file as :func:`lint_package` does, without running
+    any rule (the summaries carry all the evidence), links the program
     and returns the lockset layer's attribute → protecting-lock table.
     """
     pkg_root = pathlib.Path(root) if root is not None else default_package_root()
-    per_file, program = _split_rules(())
-    cache = _make_cache(cache_dir, per_file, program)
-    records, _analyzed = _collect_records(pkg_root, per_file, cache,
-                                          "src/repro", None)
-    summaries = {
-        record.module_path: record.summary
-        for record in records
-        if record.summary is not None
-    }
+    summaries = _summaries(_collect_records(pkg_root, (), "src/repro"))
     if not summaries:
         return []
     return LocksetAnalysis(ProgramContext(summaries)).guard_table()

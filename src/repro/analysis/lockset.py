@@ -35,9 +35,8 @@ over reprolint's call graph and CFG machinery) in three steps:
    REP011's finding.
 
 The module also hosts the lock universe and may-acquire fixpoint that
-REP006 (lock ordering) is built on — moved here so both rule families
-share one set of summaries — and the child-process reachability
-closure REP012 (cross-process sharing) uses.
+REP006 (lock ordering) is built on, so both rule families share one
+set of summaries.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallRef,
-    ClassSummary,
     FuncKey,
     FunctionSummary,
     LockKey,
@@ -60,13 +58,11 @@ __all__ = [
     "Access",
     "GuardRow",
     "LocksetAnalysis",
-    "MEDIATION_METHODS",
     "Witness",
     "direct_acquires",
     "exempt_module",
     "lock_universe",
     "may_acquire",
-    "mediated_type",
 ]
 
 #: A witnessed acquisition: where, in which file.
@@ -155,7 +151,6 @@ class Access:
     display_path: str
     lockset: FrozenSet[LockKey]
     in_handler: bool
-    via_method: str                 # self.<attr>.<m>(...) receiver method
 
     @property
     def in_ctor(self) -> bool:
@@ -194,29 +189,6 @@ def exempt_module(module_path: str) -> bool:
     return bool(_EXEMPT_SEGMENTS.intersection(segments))
 
 
-#: Queue/Pipe endpoint methods — calls through them are the sanctioned
-#: cross-process channel REP012 accepts.
-MEDIATION_METHODS = frozenset({
-    "cancel_join_thread", "close", "empty", "full", "get", "get_nowait",
-    "join", "join_thread", "poll", "put", "put_nowait", "qsize", "recv",
-    "recv_bytes", "send", "send_bytes", "task_done",
-})
-
-#: Inferred attribute types that *are* a mediation channel (or another
-#: process handle) rather than plain shared state.
-_MEDIATED_TYPE_SUFFIXES = (
-    "Queue", "SimpleQueue", "JoinableQueue", "Pipe", "Connection",
-    "Process", "Event",
-)
-
-
-def mediated_type(csum: ClassSummary, attr: str) -> bool:
-    """Is the attribute's inferred type itself a cross-process channel?"""
-    attr_type = csum.attr_types.get(attr, "")
-    leaf = attr_type.rsplit(".", 1)[-1]
-    return leaf.endswith(_MEDIATED_TYPE_SUFFIXES)
-
-
 class LocksetAnalysis:
     """The linked lockset view of one program (built once per lint)."""
 
@@ -227,8 +199,7 @@ class LocksetAnalysis:
         #: (module_path, class) → attr → accesses, with locksets applied.
         self.by_class: Dict[Tuple[str, str], Dict[str, List[Access]]] = {}
         self._collect_accesses()
-        self.child_reachable = self._child_reachable()
-        self.process_escaping = self._process_escaping()
+        self.spawn_reachable = self._spawn_reachable()
 
     # -- entry locksets (interprocedural must-hold) ---------------------
 
@@ -313,26 +284,21 @@ class LocksetAnalysis:
                     display_path=mod.display_path,
                     lockset=lockset,
                     in_handler=access.in_handler,
-                    via_method=access.method,
                 ))
 
     # -- thread escape ---------------------------------------------------
 
-    def _spawn_roots(self, kinds: FrozenSet[str]) -> Set[FuncKey]:
-        roots: Set[FuncKey] = set()
+    def _spawn_reachable(self) -> Set[FuncKey]:
+        """Functions reachable, over resolved call edges, from a callable
+        handed to a ``Thread``/``Process`` ``target=``."""
+        work: List[FuncKey] = []
         for mod, fsum, _key in self.program.iter_functions():
-            for kind, ref in fsum.spawn_targets:
-                if kind not in kinds:
-                    continue
+            for ref in fsum.spawn_targets:
                 target = self.program.resolve_held_call(
                     mod.module_path, fsum.cls, ref)
                 if target is not None:
-                    roots.add(target)
-        return roots
-
-    def _reachable(self, roots: Set[FuncKey]) -> Set[FuncKey]:
+                    work.append(target)
         seen: Set[FuncKey] = set()
-        work = list(roots)
         while work:
             key = work.pop()
             if key in seen:
@@ -340,32 +306,6 @@ class LocksetAnalysis:
             seen.add(key)
             work.extend(self.program.resolved_callees(key))
         return seen
-
-    def _child_reachable(self) -> Set[FuncKey]:
-        """Functions that may run inside a spawned child *process*."""
-        return self._reachable(self._spawn_roots(frozenset({"process"})))
-
-    def _process_escaping(self) -> Set[Tuple[str, str]]:
-        """Classes whose *instances* cross the spawn boundary.
-
-        An instance is copied into the child exactly when a bound
-        method of its class is the ``Process`` target — the whole
-        object rides along and each side now holds a silently
-        diverging copy.  Classes merely *used* on both sides, each
-        side constructing its own instance (the WAL, the in-process
-        shard worker), never share an object and are not eligible for
-        REP012 — that would be object-insensitive noise.
-        """
-        escaping: Set[Tuple[str, str]] = set()
-        for module_path, qualname in self._spawn_roots(
-                frozenset({"process"})):
-            if "." not in qualname:
-                continue                # module-function target
-            cls = qualname.rsplit(".", 1)[0]
-            summary = self.program.modules.get(module_path)
-            if summary is not None and cls in summary.classes:
-                escaping.add((module_path, cls))
-        return escaping
 
     def shared_class(self, module_path: str, cls: str) -> bool:
         """Can instances of this class be reached by >1 thread of control?"""
@@ -375,9 +315,7 @@ class LocksetAnalysis:
         csum = summary.classes[cls]
         if csum.lock_attrs:
             return True
-        spawn_reachable = self._reachable(
-            self._spawn_roots(frozenset({"thread", "process"})))
-        return any((module_path, f"{cls}.{meth}") in spawn_reachable
+        return any((module_path, f"{cls}.{meth}") in self.spawn_reachable
                    for meth in csum.methods)
 
     def shared_attrs(self, module_path: str, cls: str) -> List[str]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence, Type
 
-from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.findings import Finding, Severity
 from repro.errors import ReproError
 
@@ -35,16 +34,6 @@ class FileContext:
         self.module_path = module_path          # posix, relative to repro/
         self.display_path = display_path or module_path
         self.tree = ast.parse(source)
-        self._cfgs: Dict[int, ControlFlowGraph] = {}
-
-    def cfg(self, fn: ast.AST) -> ControlFlowGraph:
-        """The function's control-flow graph, built once per file so
-        every dataflow rule visiting it shares the same graph."""
-        assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        key = id(fn)
-        if key not in self._cfgs:
-            self._cfgs[key] = build_cfg(fn)
-        return self._cfgs[key]
 
     def finding(self, rule: "Rule", node: ast.AST, message: str,
                 severity: str = "") -> Finding:

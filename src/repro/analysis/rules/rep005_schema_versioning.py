@@ -110,8 +110,6 @@ class SchemaVersioningRule(Rule):
         # The binary image container: its JSON header lives behind the
         # REPM magic + IMAGE_FORMAT version stamp (write_image).
         "ratings/backends.py",
-        # The analysis cache (tool + signature stamped, atomic replace).
-        "analysis/cache.py",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

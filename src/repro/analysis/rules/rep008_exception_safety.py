@@ -3,13 +3,13 @@
 Invariant (docs/SERVICE.md, PR 7): a rejected or failed operation must
 leave *zero* partial state — ``BackpressureError`` and friends promise
 the caller that nothing was half-applied.  For any lock-owning class
-in ``service/`` (the same ownership test as REP003: shared concurrent
-objects own a ``threading.Lock``/``RLock``; thread- and
-process-confined state does not), the rule flags statements that can
-raise *unprotected* while shared-state mutations have already applied
-on some path behind them **and** more mutations still lie ahead on a
-normal path — the exact shape where an escaping exception strands the
-object between two self-consistent states.
+in ``service/`` (shared concurrent objects own a
+``threading.Lock``/``RLock``; thread- and process-confined state does
+not), the rule flags statements that can raise *unprotected* while
+shared-state mutations have already applied on some path behind them
+**and** more mutations still lie ahead on a normal path — the exact
+shape where an escaping exception strands the object between two
+self-consistent states.
 
 Path sensitivity comes from the CFG (analysis/cfg.py) plus two
 reachability closures over its normal (non-``exc``) edges:
@@ -36,21 +36,40 @@ zero-trace contract covers).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.analysis.cfg import FALSE, NEXT, TRUE, stmt_exprs
-from repro.analysis.dataflow import closure
+from repro.analysis.cfg import FALSE, NEXT, TRUE, build_cfg, stmt_exprs
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register
 from repro.analysis.rules._ast_util import attr_chain
 
-__all__ = ["ExceptionSafetyRule"]
+__all__ = ["ExceptionSafetyRule", "closure"]
 
 _LOCK_CTORS = frozenset({"Lock", "RLock"})
 
 #: Edge kinds that model normal execution; ``exc`` edges land in
 #: handler/rollback code, which must not count as "mutation ahead".
 _NORMAL_EDGES = (NEXT, TRUE, FALSE)
+
+
+def closure(starts: Iterable[int],
+            neighbors: Callable[[int], Iterable[int]]) -> Set[int]:
+    """Transitive closure of ``starts`` under ``neighbors`` (inclusive).
+
+    "Is some mutation already applied here" is a closure over successor
+    edges from the mutation nodes, "does a mutation still lie ahead" a
+    closure over predecessor edges.
+    """
+    seen: Set[int] = set()
+    work = list(starts)
+    while work:
+        nid = work.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        work.extend(neighbors(nid))
+    return seen
+
 
 #: Methods that mutate the container they are called on.
 _MUTATOR_METHODS = frozenset({
@@ -257,7 +276,7 @@ class ExceptionSafetyRule(Rule):
     # -- the path-sensitive check -------------------------------------
     def _check_method(self, ctx: FileContext, cls: ast.ClassDef,
                       fn: _FnDef, containers: Set[str]) -> Iterator[Finding]:
-        cfg = ctx.cfg(fn)
+        cfg = build_cfg(fn)
         mut_nids: List[int] = []
         mut_attr: Dict[int, str] = {}
         for node in cfg.nodes:

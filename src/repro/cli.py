@@ -22,8 +22,8 @@ Usage
     ``BENCH_<name>.json`` and gate changes against a baseline
     (see docs/BENCHMARKS.md).
 ``python -m repro lint``
-    The reprolint invariant linter: rules REP001..REP012 over
-    ``src/repro``; any finding exits 1 (see docs/STATIC_ANALYSIS.md).
+    The reprolint invariant linter: one serial pass of nine rules
+    over ``src/repro``; any finding exits 1 (see docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -281,7 +281,6 @@ def _build_service(args: argparse.Namespace):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
-    import time as time_module
 
     from repro.errors import ReproError
     from repro.service import ServiceHTTPServer
@@ -302,6 +301,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"events={service.total_events}", flush=True)
 
     stop_flag = threading.Event()
+    auto_closer: Optional[threading.Thread] = None
     if args.auto_period > 0:
         def _auto_close() -> None:
             while not stop_flag.wait(0.05):
@@ -310,15 +310,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     print(f"epoch {result.epoch} closed: "
                           f"{len(result.report)} pair(s) over "
                           f"{result.events} events", flush=True)
-        threading.Thread(target=_auto_close, daemon=True,
-                         name="repro-auto-period").start()
+        auto_closer = threading.Thread(target=_auto_close, daemon=True,
+                                       name="repro-auto-period")
+        auto_closer.start()
     try:
         http.serve_forever()
     except KeyboardInterrupt:
         print("shutting down...", flush=True)
     finally:
         stop_flag.set()
-        time_module.sleep(0)  # let the auto-period thread observe the flag
+        # A close already past its check must finish before the service
+        # stops under it.
+        if auto_closer is not None:
+            auto_closer.join()
         http.shutdown()
         service.stop()
     return 0
@@ -561,6 +565,13 @@ def _add_bench_parser(sub) -> None:
     p_bcmp.set_defaults(func=_cmd_bench_compare)
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    # Imported here so that no other command loads the linter.
+    from repro.analysis.cli import run_lint
+
+    return run_lint(args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -650,10 +661,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint", help="run the reprolint invariant linter over src/repro"
     )
-    from repro.analysis.cli import add_lint_arguments, run_lint
-
-    add_lint_arguments(p_lint)
-    p_lint.set_defaults(func=run_lint)
+    p_lint.add_argument("--format", choices=["text", "json"],
+                        default="text",
+                        help="report format (default: text)")
+    p_lint.add_argument("--rules", default="",
+                        help="comma-separated rule ids to run "
+                             "(default: every registered rule)")
+    p_lint.add_argument("--root", default=None,
+                        help="package directory to lint "
+                             "(default: the installed repro package)")
+    p_lint.add_argument("--guards", action="store_true",
+                        help="print the inferred guarded-by table "
+                             "(attribute -> protecting lock -> access "
+                             "sites) instead of findings")
+    p_lint.add_argument("--explain", action="store_true",
+                        help="describe each rule's invariant and exit")
+    p_lint.set_defaults(func=_cmd_lint)
 
     return parser
 

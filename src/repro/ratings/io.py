@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import pathlib
 from typing import IO, Any, Iterable, Iterator, Optional, Union
 
@@ -212,15 +213,35 @@ def _integral(raw: Any, field: str, where: str) -> int:
         raise TraceError(f"{where}: {field}: {exc}") from None
 
 
+def _finite_time(raw: Any, where: str) -> float:
+    """A non-``float`` or non-finite JSON ``time`` as a finite ``float``,
+    or a :class:`TraceError`.
+
+    ``true`` is a boolean and ``"7"`` a string, not a time; ``NaN``,
+    ``-Infinity`` and ``1e400`` (``inf``) are not finite, and neither is
+    an integer too large for a float.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TraceError(f"{where}: time must be a number, got {raw!r}")
+    try:
+        time = float(raw)
+    except OverflowError as exc:
+        raise TraceError(f"{where}: time: {exc}") from None
+    if not math.isfinite(time):
+        raise TraceError(f"{where}: time must be finite, got {raw!r}")
+    return time
+
+
 def decode_jsonl(line: str, n: Optional[int] = None,
                  where: str = "<jsonl>") -> Rating:
     """Parse one JSONL line into a validated :class:`Rating`.
 
     Applies the same checks as live ingestion: ``rater``, ``target``
     and ``value`` must be integers (booleans and fractions are
-    refused, integral floats accepted), the :class:`Rating` constructor
-    rejects self-ratings, bad values and negative ids, and an optional
-    universe size ``n`` bounds the ids.  ``where`` names the source
+    refused, integral floats accepted), an optional ``time`` must be a
+    finite number (not a boolean or string), the :class:`Rating`
+    constructor rejects self-ratings, bad values and negative ids, and
+    an optional universe size ``n`` bounds the ids.  ``where`` names the source
     (``path:line``) in error messages.
     """
     try:
@@ -235,15 +256,19 @@ def decode_jsonl(line: str, n: Optional[int] = None,
     if missing:
         raise TraceError(f"{where}: missing fields {sorted(missing)}")
     rater, target, value = record["rater"], record["target"], record["value"]
-    # Plain ints, the whole of a well-formed trace, skip the per-field
-    # call: batch jobs decode every line of a trace through here.
+    # Plain ints and a finite float time, the whole of a well-formed
+    # trace, skip the per-field calls: batch jobs decode every line of a
+    # trace through here.
     if type(rater) is not int or type(target) is not int or type(value) is not int:
         rater = _integral(rater, "rater", where)
         target = _integral(target, "target", where)
         value = _integral(value, "value", where)
+    time = record.get("time", 0.0)
+    if type(time) is not float or not math.isfinite(time):
+        time = _finite_time(time, where)
     try:
-        rating = Rating(rater, target, value, float(record.get("time", 0.0)))
-    except (TypeError, ValueError, OverflowError) as exc:
+        rating = Rating(rater, target, value, time)
+    except (TypeError, ValueError) as exc:
         raise TraceError(f"{where}: {exc}") from None
     if n is not None and (rating.rater >= n or rating.target >= n):
         raise TraceError(

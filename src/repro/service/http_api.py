@@ -62,7 +62,9 @@ from repro.service.coordinator import DetectionService
 
 __all__ = ["ServiceHTTPServer"]
 
-_REPUTATION_RE = re.compile(r"^/reputation/(\d+)$")
+# ASCII digits only, and few enough that int() stays clear of the
+# interpreter's digit limit; any other node id falls through to the 404.
+_REPUTATION_RE = re.compile(r"^/reputation/([0-9]{1,18})$")
 _MAX_BODY = 8 * 1024 * 1024  # 8 MiB request cap — bound memory per request
 _WRITE_BUFFER = 64 * 1024  # responses up to this size leave in one send
 
@@ -116,11 +118,21 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _error(self, status: int, message: str,
                headers: Optional[Dict[str, str]] = None) -> None:
         self._send_json(status, {"error": message}, headers)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        # The stdlib's own errors (unsupported method, malformed request
+        # line, oversized headers) answer in JSON like every other error
+        # and, as the stdlib's do, close the connection.
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._error(code, message, {"Connection": "close"})
 
     def _read_body(self) -> Optional[bytes]:
         # A rejected body is left unread, so the connection cannot carry

@@ -2,7 +2,7 @@
 
 ``forward`` holds ``_a`` while a two-function call chain acquires
 ``_b``; ``backward`` holds ``_b`` while acquiring ``_a`` — a lock-order
-cycle the per-file REP003 rule cannot see.
+cycle no per-file check can see.
 """
 
 import threading

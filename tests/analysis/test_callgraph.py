@@ -1,14 +1,8 @@
 """Symbol table + call graph construction (`repro.analysis.callgraph`)."""
 
-import json
 import textwrap
 
-from repro.analysis.callgraph import (
-    ModuleSummary,
-    ProgramContext,
-    module_name,
-    summarize_module,
-)
+from repro.analysis.callgraph import ProgramContext, module_name, summarize_module
 
 
 def _src(text: str) -> str:
@@ -76,18 +70,6 @@ class TestSummaries:
         assert helper.is_public
         assert len(helper.sweeps) == 1
 
-    def test_round_trips_through_json(self):
-        summary = summarize_module("core/det.py", "src/repro/core/det.py",
-                                   CORE)
-        revived = ModuleSummary.from_dict(
-            json.loads(json.dumps(summary.to_dict()))
-        )
-        assert set(revived.functions) == set(summary.functions)
-        assert revived.functions["helper"].sweeps == \
-            summary.functions["helper"].sweeps
-        assert revived.functions["Detector.detect"].calls == \
-            summary.functions["Detector.detect"].calls
-
 
 class TestResolution:
     def test_same_module_name_call_is_resolved(self):
@@ -99,16 +81,6 @@ class TestResolution:
         program = _program()
         callers = program.callers_of(("core/det.py", "helper"))
         assert ("core/det.py", "Detector.detect") in callers
-
-    def test_round_tripped_summaries_link_identically(self):
-        direct = _program()
-        revived = ProgramContext({
-            mp: ModuleSummary.from_dict(
-                json.loads(json.dumps(summary.to_dict())))
-            for mp, summary in direct.modules.items()
-        })
-        assert revived.resolved == direct.resolved
-        assert revived.candidates == direct.candidates
 
     def test_call_on_unknown_receiver_falls_back_to_candidates(self):
         a = _src("""

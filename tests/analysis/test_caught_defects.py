@@ -5,11 +5,17 @@ found in this repository, rebuilt from the change that fixed it, and
 each test asserts that the rule which owns that defect today still
 flags it.  Together they are the evidence that retiring a rule or a
 check loses no defect the linter has caught.
+
+The last section holds *seeded mutations*: a defect planted in the
+current tree's own source that the test-suite does not catch but a
+rule does.  They are the evidence for keeping a rule that has no real
+defect on record.
 """
 
 import pytest
 
 from repro.analysis import lint_source
+from repro.analysis.engine import default_package_root
 
 # -- reprolint's first run --------------------------------------------------
 
@@ -280,3 +286,48 @@ class TestLocksetDefects:
                            "service/coordinator.py", "REP011")
         attrs = sorted(message.split("'")[1] for _, message in flagged)
         assert attrs == ["_epoch", "_latest_verdicts"]
+
+
+# -- seeded mutations -------------------------------------------------------
+
+
+def _mutated(module_path, rule, old, new):
+    """The tree's ``module_path``, clean under ``rule``, with its one
+    ``old`` replaced by ``new``."""
+    source = (default_package_root() / module_path).read_text(encoding="utf-8")
+    assert source.count(old) == 1, f"mutation site moved in {module_path}"
+    assert _flagged(source, module_path, rule) == []
+    return source.replace(old, new)
+
+
+class TestSeededMutations:
+    def test_global_rng_in_an_experiment_is_rep004(self):
+        """Every figure must be a pure function of its seed; the suite
+        only compares figures against themselves, so a draw from numpy's
+        global RNG passes every test but the lint gate."""
+        source = _mutated(
+            "experiments/distributed.py", "REP004",
+            "r, t = rng.choice(system.n, size=2, replace=False)",
+            "r, t = np.random.choice(system.n, size=2, replace=False)",
+        )
+        [(line, message)] = _flagged(source, "experiments/distributed.py",
+                                     "REP004")
+        assert line == 27 and "np.random.choice" in message
+
+    def test_self_deadlocking_repr_is_rep006(self):
+        """``OpCounter.__repr__`` is excluded from coverage, so a repr
+        that re-takes the plain lock through ``snapshot()`` deadlocks
+        only when someone prints a counter."""
+        source = _mutated(
+            "util/counters.py", "REP006",
+            '''        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+''',
+            '''        with self._lock:
+            inner = ", ".join(f"{k}={v}"
+                              for k, v in sorted(self.snapshot().items()))
+''',
+        )
+        flagged = _flagged(source, "util/counters.py", "REP006")
+        assert flagged
+        assert all("OpCounter._lock" in message and "self-deadlock" in message
+                   for _, message in flagged)

@@ -1,7 +1,7 @@
 """Golden tests for the per-function CFG builder.
 
 Each test pins the full :meth:`ControlFlowGraph.dump` surface for one
-control-flow shape the dataflow rules depend on getting right:
+control-flow shape the path-sensitive rules depend on getting right:
 
 * ``try/finally`` with a ``return`` inside the body — the finally
   block must run on *both* continuations (return and exception) and

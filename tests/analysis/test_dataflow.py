@@ -1,109 +1,10 @@
-"""Unit coverage for the dataflow layer: solver, RD, closure, taint.
+"""The reachability closure REP008's path-sensitive check runs on.
 
-These tests exercise :mod:`repro.analysis.dataflow` directly, below
-the rules built on it — when a REP008/REP010 fixture regresses, these
-localize whether the lattice or the rule policy broke.
+When a REP008 fixture regresses, these localize whether the closure
+or the rule policy broke.
 """
 
-import ast
-import textwrap
-
-from repro.analysis.cfg import NEXT, TRUE, FALSE, build_cfg
-from repro.analysis.dataflow import (
-    TaintAnalysis,
-    TaintSpec,
-    closure,
-    reaching_definitions,
-    solve,
-)
-
-
-def cfg_of(source):
-    tree = ast.parse(textwrap.dedent(source))
-    return build_cfg(tree.body[0])
-
-
-SPEC = TaintSpec(
-    source_chains=(("self", "path"), ("self", "_read_body")),
-    sanitizers=frozenset({"int", "decode_jsonl"}),
-)
-
-
-class TestSolve:
-    def test_forward_union_join_merges_branches(self):
-        cfg = cfg_of('''
-            def f(c):
-                if c:
-                    x = 1
-                else:
-                    y = 2
-                done()
-        ''')
-
-        def transfer(nid, fact):
-            label = cfg.node(nid).label
-            if "x = 1" in label:
-                return fact | {"x"}
-            if "y = 2" in label:
-                return fact | {"y"}
-            return fact
-
-        facts = solve(cfg, transfer, frozenset())
-        done = next(n.nid for n in cfg.nodes if "done" in n.label)
-        # May-analysis: both arms' facts reach the join point.
-        assert facts[done] == frozenset({"x", "y"})
-
-    def test_edge_kinds_filter_excludes_exception_flow(self):
-        cfg = cfg_of('''
-            def f():
-                try:
-                    risky()
-                except ValueError:
-                    cleanup()
-        ''')
-
-        def transfer(nid, fact):
-            if "risky" in cfg.node(nid).label:
-                return fact | {"ran"}
-            return fact
-
-        normal_only = solve(cfg, transfer, frozenset(),
-                            edge_kinds=(NEXT, TRUE, FALSE))
-        cleanup = next(n.nid for n in cfg.nodes if "cleanup" in n.label)
-        # The handler is reachable only over EXC edges, so nothing
-        # propagates into it when those edges are filtered out.
-        assert normal_only[cleanup] == frozenset()
-
-    def test_backward_reaches_earlier_nodes(self):
-        cfg = cfg_of('''
-            def f():
-                a()
-                b()
-        ''')
-
-        def transfer(nid, fact):
-            if cfg.node(nid).label == "b()" :
-                return fact | {"late"}
-            return fact
-
-        facts = solve(cfg, transfer, frozenset(), direction="backward")
-        a = next(n.nid for n in cfg.nodes if n.label == "a()")
-        assert "late" in facts[a]
-
-    def test_loop_reaches_fixpoint(self):
-        cfg = cfg_of('''
-            def f(items):
-                acc = 0
-                for item in items:
-                    acc = acc + 1
-                return acc
-        ''')
-        rd = reaching_definitions(cfg)
-        ret = next(n.nid for n in cfg.nodes if "return" in n.label)
-        defs_of_acc = {nid for name, nid in rd[ret] if name == "acc"}
-        # Both the initial binding and the loop body's rebinding may
-        # reach the return — the back edge must be followed to fixpoint.
-        assert len(defs_of_acc) == 2
+from repro.analysis.rules.rep008_exception_safety import closure
 
 
 class TestClosure:
@@ -114,112 +15,3 @@ class TestClosure:
     def test_closure_tolerates_cycles(self):
         graph = {1: [2], 2: [1]}
         assert closure([1], lambda n: graph[n]) == {1, 2}
-
-
-class TestReachingDefinitions:
-    def test_parameters_defined_at_entry(self):
-        cfg = cfg_of('''
-            def f(x, y):
-                return x
-        ''')
-        rd = reaching_definitions(cfg)
-        ret = next(n.nid for n in cfg.nodes if "return" in n.label)
-        assert ("x", cfg.entry_nid) in rd[ret]
-        assert ("y", cfg.entry_nid) in rd[ret]
-
-    def test_rebinding_kills_the_old_definition(self):
-        cfg = cfg_of('''
-            def f(x):
-                x = 0
-                return x
-        ''')
-        rd = reaching_definitions(cfg)
-        ret = next(n.nid for n in cfg.nodes if "return" in n.label)
-        defs_of_x = {nid for name, nid in rd[ret] if name == "x"}
-        assert cfg.entry_nid not in defs_of_x
-        assert len(defs_of_x) == 1
-
-
-class TestTaint:
-    def run_taint(self, source):
-        cfg = cfg_of(source)
-        return cfg, TaintAnalysis(SPEC).run(cfg)
-
-    def taint_at(self, cfg, taint, needle):
-        nid = next(n.nid for n in cfg.nodes if needle in n.label)
-        return taint[nid]
-
-    def test_source_read_taints_the_binding(self):
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                raw = self.path
-                sink(raw)
-        ''')
-        assert "raw" in self.taint_at(cfg, taint, "sink")
-
-    def test_source_call_taints_the_binding(self):
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                body = self._read_body()
-                sink(body)
-        ''')
-        assert "body" in self.taint_at(cfg, taint, "sink")
-
-    def test_sanitizer_cleanses(self):
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                raw = self.path
-                node = int(raw)
-                sink(node)
-        ''')
-        assert "node" not in self.taint_at(cfg, taint, "sink")
-
-    def test_rebinding_with_clean_value_cleanses(self):
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                raw = self.path
-                raw = "literal"
-                sink(raw)
-        ''')
-        assert "raw" not in self.taint_at(cfg, taint, "sink")
-
-    def test_taint_propagates_through_expressions(self):
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                raw = self.path
-                parts = raw.split("/")
-                name = parts[-1]
-                sink(name)
-        ''')
-        at_sink = self.taint_at(cfg, taint, "sink")
-        assert "parts" in at_sink and "name" in at_sink
-
-    def test_branch_taint_merges_at_join(self):
-        cfg, taint = self.run_taint('''
-            def handler(self, cond):
-                if cond:
-                    value = self.path
-                else:
-                    value = "safe"
-                sink(value)
-        ''')
-        # May-taint: the tainted arm wins at the join.
-        assert "value" in self.taint_at(cfg, taint, "sink")
-
-    def test_compare_is_a_verdict_not_data(self):
-        """``raw in ("1", "true")`` is a bool about the data — binding
-        it must not taint (the live= query-flag pattern in http_api)."""
-        cfg, taint = self.run_taint('''
-            def handler(self):
-                raw = self.path
-                live = raw in ("1", "true")
-                sink(live)
-        ''')
-        assert "live" not in self.taint_at(cfg, taint, "sink")
-
-    def test_expr_tainted_on_direct_source_expression(self):
-        analysis = TaintAnalysis(SPEC)
-        expr = ast.parse("self.path.split('/')", mode="eval").body
-        assert analysis.expr_tainted(expr, frozenset())
-        clean = ast.parse("self.shards", mode="eval").body
-        assert not analysis.expr_tainted(clean, frozenset())

@@ -224,6 +224,16 @@ UNREPRESENTABLE = [
                  id="boolean-value"),
     pytest.param('{"rater": NaN, "target": 2, "value": 1}', "rater",
                  id="nan-rater"),
+    pytest.param('{"rater": 1, "target": 2, "value": 1, "time": NaN}',
+                 "time", id="nan-time"),
+    pytest.param('{"rater": 1, "target": 2, "value": 1, "time": -Infinity}',
+                 "time", id="neg-infinity-time"),
+    pytest.param('{"rater": 1, "target": 2, "value": 1, "time": 1e400}',
+                 "time", id="inf-time"),
+    pytest.param('{"rater": 1, "target": 2, "value": 1, "time": true}',
+                 "time", id="boolean-time"),
+    pytest.param('{"rater": 1, "target": 2, "value": 1, "time": "7"}',
+                 "time", id="string-time"),
 ]
 
 
@@ -242,6 +252,14 @@ class TestJsonlNumbers:
         with pytest.raises(TraceError, match=named) as exc:
             load_jsonl(path)
         assert str(exc.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize("raw, time", [
+        ("2.5", 2.5), ("7", 7.0), ("-1e3", -1000.0),
+    ])
+    def test_finite_times_are_floats(self, raw, time):
+        rating = decode_jsonl(
+            f'{{"rater": 1, "target": 2, "value": 1, "time": {raw}}}')
+        assert rating.time == time and type(rating.time) is float
 
     def test_integral_floats_are_ints(self):
         rating = decode_jsonl('{"rater": 3.0, "target": 2, "value": -1.0}')

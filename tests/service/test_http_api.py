@@ -150,6 +150,16 @@ class TestQueries:
         assert request(f"{url}/nope")[0] == 404
         assert request(f"{url}/nope", payload={})[0] == 404
 
+    @pytest.mark.parametrize("node", [
+        "1" * 5000,         # past int()'s digit limit
+        "1" * 19,           # more digits than any node id needs
+    ], ids=["5000-digits", "19-digits"])
+    def test_malformed_node_id_404(self, served, node):
+        _service, url = served
+        status, doc, _ = request(f"{url}/reputation/{node}")
+        assert status == 404
+        assert doc["error"].startswith("no such resource")
+
     def test_suspects_and_history(self, served, planted_events):
         service, url = served
         submit_all(service, planted_events)
@@ -242,7 +252,13 @@ class TestIngestEndpoint:
          + b"0" * 400 + b"}", "too large"),
         (b'{"rater": ' + b"1" * 5000 + b', "target": 2, "value": 1}',
          "invalid JSON"),
-    ], ids=["deep-nesting", "inf-value", "time-overflow", "digit-limit"])
+    ] + [
+        (b'{"rater": 3, "target": 2, "value": 1, "time": ' + time + b"}",
+         "ratings[0]: time")
+        for time in (b"NaN", b"-Infinity", b"1e400", b"true", b'"7"')
+    ], ids=["deep-nesting", "inf-value", "time-overflow", "digit-limit",
+            "nan-time", "neg-infinity-time", "inf-time", "boolean-time",
+            "string-time"])
     def test_unrepresentable_body_400(self, served, body, named):
         service, url = served
         status, doc = raw_post(url, body)
@@ -364,6 +380,56 @@ class TestResponseFraming:
             sock.sendall(body)
             assert read_response(sock)[0] == 202
         assert service.epoch_events == 1
+
+
+class TestStdlibErrors:
+    """Errors the stdlib raises before any handler runs are JSON too."""
+
+    @staticmethod
+    def exchange(url, raw_request):
+        """The body of the response to ``raw_request``, read to close."""
+        address = urlparse(url)
+        with socket.create_connection((address.hostname, address.port),
+                                      timeout=5) as sock:
+            sock.sendall(raw_request)
+            data = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+        # A request line the stdlib cannot parse is answered HTTP/0.9
+        # style: a body with no status line or headers.
+        if data.startswith(b"HTTP/"):
+            head, _, data = data.partition(b"\r\n\r\n")
+            assert b"Content-Type: application/json" in head
+            assert b"Connection: close" in head
+        return data
+
+    @pytest.mark.parametrize("raw_request, named", [
+        (b"PUT /ratings HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Length: 0\r\n\r\n", "PUT"),
+        (b"GET / HTTP/9.9\r\nHost: test\r\n\r\n", "9.9"),
+        (b"GET / \"quoted\"\r\n\r\n", '"quoted"'),
+    ], ids=["unsupported-method", "http-version", "malformed-line"])
+    def test_error_body_is_json(self, served, raw_request, named):
+        _service, url = served
+        doc = json.loads(self.exchange(url, raw_request))
+        assert named in doc["error"]
+
+    def test_head_error_has_no_body(self, served):
+        _service, url = served
+        data = self.exchange(url, b"HEAD /healthz HTTP/1.1\r\n"
+                                  b"Host: test\r\n\r\n")
+        assert data == b""
+
+    def test_unsupported_method_is_501_json(self, served):
+        _service, url = served
+        status, doc, headers = request(f"{url}/ratings", payload={},
+                                       method="PUT")
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert "PUT" in doc["error"]
 
 
 class TestAdminEndpoints:
