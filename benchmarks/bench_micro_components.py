@@ -1,11 +1,14 @@
 """Micro-benchmarks of the library's hot paths.
 
 Not paper figures — these track the implementation's own performance
-(ledger ingestion, matrix aggregation, detector passes, EigenTrust
-iteration, Chord routing) so optimization work has a baseline, per the
-project's HPC guides ("no optimization without measuring").
+(ledger ingestion, JSONL trace loading, matrix aggregation, detector
+passes, suspect-graph construction, EigenTrust iteration, Chord
+routing) so optimization work has a baseline, per the project's HPC
+guides ("no optimization without measuring").
 """
 
+import pathlib
+import tempfile
 import time
 
 import numpy as np
@@ -17,9 +20,11 @@ from repro.core.optimized import OptimizedCollusionDetector
 from repro.core.thresholds import DetectionThresholds
 from repro.dht.hashing import IdSpace
 from repro.dht.ring import ChordRing
+from repro.ratings.io import append_jsonl, load_jsonl
 from repro.ratings.ledger import RatingLedger
 from repro.ratings.matrix import RatingMatrix
 from repro.reputation.eigentrust import EigenTrust, EigenTrustConfig
+from repro.rings import SuspectGraph
 
 N = 200
 THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
@@ -51,6 +56,10 @@ def run(config=None):
     ledger = RatingLedger(n)
     timed("ledger_ingest", lambda: ledger.extend(raters, targets, values,
                                                  times))
+    with tempfile.TemporaryDirectory() as scratch:
+        trace = pathlib.Path(scratch) / "trace.jsonl"
+        append_jsonl(trace, ledger)
+        loaded = timed("jsonl_load", lambda: load_jsonl(trace, n=n))
     matrix = timed("ledger_to_matrix", ledger.to_matrix)
     for a, b in ((4, 5), (6, 7), (10, 11), (20, 21)):
         matrix.add(a, b, 1, count=60)
@@ -66,6 +75,8 @@ def run(config=None):
     optimized = timed(
         "optimized_detector",
         lambda: OptimizedCollusionDetector(THRESHOLDS).detect(matrix))
+    graph = timed("suspect_graph",
+                  lambda: SuspectGraph.from_matrix(matrix, thresholds=THRESHOLDS))
     trust = timed(
         "eigentrust_power_iteration",
         lambda: EigenTrust(EigenTrustConfig(
@@ -85,10 +96,15 @@ def run(config=None):
                 planted <= basic.pair_set()
                 and planted <= optimized.pair_set()),
             "eigentrust_normalized": bool(abs(trust.sum() - 1.0) < 1e-9),
+            "jsonl_round_trip": len(loaded) == len(ledger),
+            "graph_pairs_match_detector": (
+                set(graph.mutual_pairs()) == optimized.pair_set()),
         },
         "checks_pass": (planted <= basic.pair_set()
                         and planted <= optimized.pair_set()
-                        and abs(trust.sum() - 1.0) < 1e-9),
+                        and abs(trust.sum() - 1.0) < 1e-9
+                        and len(loaded) == len(ledger)
+                        and set(graph.mutual_pairs()) == optimized.pair_set()),
     }
 
 

@@ -17,7 +17,7 @@ sweeping function through *uncharged* functions only must never reach
 an uncharged public function or an uncharged root (a function with no
 known callers); charged callers terminate their path as covered.  The
 helper-extraction idiom — ``detect()`` pre-charges the nominal cost,
-``_ScreenPass.__init__`` performs the sweep — therefore passes,
+a helper it calls performs the sweep — therefore passes,
 while deleting the caller's charge flags the sweep again.
 
 Dynamic calls resolve to conservative *candidate* edges (every

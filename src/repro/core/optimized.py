@@ -54,42 +54,57 @@ from repro.errors import DetectionError
 from repro.ratings.matrix import RatingMatrix
 from repro.util.counters import OpCounter
 
-__all__ = ["OptimizedCollusionDetector"]
+__all__ = ["OptimizedCollusionDetector", "ScreenPass"]
 
 
-class _ScreenPass:
+#: ``(targets, raters, effective, positive)`` — a matrix's nonzero
+#: effective entries, COO-style (:meth:`RatingMatrix.entries`).
+Entries = Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64],
+                npt.NDArray[np.int64], npt.NDArray[np.int64]]
+
+
+class ScreenPass:
     """Precomputed whole-matrix screen state for one detection pass.
 
     Holds the booster entries (the C1/C3/C4 mask applied to every
     nonzero effective element at once), their per-target slices, and
     the Formula (2) band verdicts — everything the candidate loop
     consults, so the loop never touches matrix storage again.
+    :meth:`repro.rings.graph.SuspectGraph.from_matrix` runs the same
+    pass and reads its screened legs off ``b_band``.
     """
 
-    __slots__ = ("b_targets", "b_raters", "b_eff", "b_pos",
-                 "band_by_target", "band_by_entry", "stats_by_entry",
-                 "_slice_cache")
+    __slots__ = ("hot_pairs", "b_targets", "b_raters", "b_eff", "b_pos",
+                 "b_band", "band_by_target", "band_by_entry",
+                 "stats_by_entry", "_slice_cache")
 
-    def __init__(self, matrix: RatingMatrix, high: npt.NDArray[np.bool_],
+    def __init__(self, entries: Entries, high: npt.NDArray[np.bool_],
                  node_eff: npt.NDArray[np.int64],
                  sum_reputation: npt.NDArray[np.float64],
                  thresholds: DetectionThresholds,
                  multi_booster_exclusion: bool) -> None:
         th = thresholds
-        e_t, e_r, e_eff, e_pos = matrix.entries(effective=True)
-        # C1 (high rater) + C3 (positive fraction) + C4 (frequency) for
-        # every high row in one broadcast; e_eff > 0 by construction so
+        e_t, e_r, e_eff, e_pos = entries
+        # C1 (both ends high) + C4 (frequency): the pairs a streaming
+        # screen holds hot and checks; then C3 (positive fraction) for
+        # every high row in one broadcast.  e_eff > 0 by construction so
         # the fraction needs no NaN guard.
-        mask = (high[e_t] & high[e_r] & (e_eff >= th.t_n)
-                & ((e_pos / e_eff) >= th.t_a)) if e_t.size else (
-            np.zeros(0, dtype=bool))
+        if e_t.size:
+            hot = high[e_t] & high[e_r] & (e_eff >= th.t_n)
+            mask = hot & ((e_pos / e_eff) >= th.t_a)
+        else:
+            hot = mask = np.zeros(0, dtype=bool)
+        self.hot_pairs = int(np.count_nonzero(hot))
         self.b_targets = e_t[mask]
         self.b_raters = e_r[mask]
         self.b_eff = e_eff[mask]
         self.b_pos = e_pos[mask]
         self._slice_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-        # Formula (2) band membership, broadcast over all screened rows.
+        # Formula (2) band membership, broadcast over all screened rows;
+        # ``b_band`` repeats each verdict on its booster entries.
+        self.b_band: npt.NDArray[np.bool_] = np.zeros(self.b_targets.size,
+                                                      dtype=bool)
         self.band_by_target: Dict[int, bool] = {}
         self.band_by_entry: Dict[Tuple[int, int], bool] = {}
         self.stats_by_entry: Dict[Tuple[int, int], Tuple[int, int]] = {
@@ -108,19 +123,21 @@ class _ScreenPass:
                 pair_count=f_sum.astype(float),
                 t_a=th.t_a, t_b=th.t_b,
             )
+            self.b_band = np.repeat(
+                band, np.diff(np.append(seg_start, self.b_targets.size)))
             self.band_by_target = {
                 int(t): bool(v) for t, v in zip(uniq_t, band)
             }
         else:
-            band = formula2_screen(
+            self.b_band = np.asarray(formula2_screen(
                 reputation=sum_reputation[self.b_targets],
                 n_total=node_eff[self.b_targets].astype(float),
                 pair_count=self.b_eff.astype(float),
                 t_a=th.t_a, t_b=th.t_b,
-            )
+            ), dtype=bool)
             self.band_by_entry = {
                 (int(t), int(r)): bool(v)
-                for t, r, v in zip(self.b_targets, self.b_raters, band)
+                for t, r, v in zip(self.b_targets, self.b_raters, self.b_band)
             }
 
     def boosters_of(self, target: int
@@ -167,7 +184,7 @@ class OptimizedCollusionDetector:
     # ------------------------------------------------------------------
     @staticmethod
     def _evidence(
-        screen: _ScreenPass,
+        screen: ScreenPass,
         node_eff: npt.NDArray[np.int64],
         node_pos: npt.NDArray[np.int64],
         rater: int,
@@ -234,8 +251,8 @@ class OptimizedCollusionDetector:
         if high_ids.size:
             self.ops.add("freq_check", int(high_ids.size) * (n - 1))
 
-        screen = _ScreenPass(matrix, high, node_eff, sum_reputation,
-                             th, self.multi_booster_exclusion)
+        screen = ScreenPass(matrix.entries(effective=True), high, node_eff,
+                            sum_reputation, th, self.multi_booster_exclusion)
         multi = self.multi_booster_exclusion
         resolved: Set[Tuple[int, int]] = set()
 

@@ -13,7 +13,11 @@ shipped, and re-analyzed:
   can stream a file that is still being written.  This is the
   detection service's write-ahead-log format
   (:mod:`repro.service.wal`), and doubles as a trace-tooling
-  interchange format.
+  interchange format.  One binary line reader serves
+  :func:`iter_jsonl` (WAL replay) and :func:`load_jsonl` (whole
+  traces): a well-formed line is accepted on a fast path of plain type
+  checks, and every other line is re-read by :func:`decode_jsonl`, the
+  per-line reference, so errors read the same on every path.
 
 All loaders validate like live ingestion (id ranges, values, no
 self-ratings), so a corrupted file fails loudly instead of poisoning an
@@ -26,11 +30,11 @@ import csv
 import json
 import math
 import pathlib
-from typing import IO, Any, Iterable, Iterator, Optional, Union
+from typing import IO, Any, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import TraceError, UnknownNodeError
 from repro.ratings.events import Rating
 from repro.ratings.ledger import RatingLedger
 
@@ -44,6 +48,7 @@ __all__ = [
     "load_jsonl",
     "encode_jsonl",
     "decode_jsonl",
+    "validate_record",
     "write_jsonl_events",
 ]
 
@@ -236,6 +241,23 @@ def decode_jsonl(line: str, n: Optional[int] = None,
                  where: str = "<jsonl>") -> Rating:
     """Parse one JSONL line into a validated :class:`Rating`.
 
+    ``json.loads`` followed by :func:`validate_record`; ``where`` names
+    the source (``path:line``) in error messages.  This is the per-line
+    reference every JSONL reader's error path goes through.
+    """
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or an integer past the digit limit;
+        # RecursionError: nesting deeper than the parser's stack.
+        raise TraceError(f"{where}: invalid JSON: {exc}") from None
+    return validate_record(record, n=n, where=where)
+
+
+def validate_record(record: Any, n: Optional[int] = None,
+                    where: str = "<jsonl>") -> Rating:
+    """Check one parsed JSON record and return it as a :class:`Rating`.
+
     Applies the same checks as live ingestion: ``rater``, ``target``
     and ``value`` must be integers (booleans and fractions are
     refused, integral floats accepted), an optional ``time`` must be a
@@ -244,21 +266,12 @@ def decode_jsonl(line: str, n: Optional[int] = None,
     an optional universe size ``n`` bounds the ids.  ``where`` names the source
     (``path:line``) in error messages.
     """
-    try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON or an integer past the digit limit;
-        # RecursionError: nesting deeper than the parser's stack.
-        raise TraceError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(record, dict):
         raise TraceError(f"{where}: expected a JSON object, got {type(record).__name__}")
     missing = {"rater", "target", "value"} - set(record)
     if missing:
         raise TraceError(f"{where}: missing fields {sorted(missing)}")
     rater, target, value = record["rater"], record["target"], record["value"]
-    # Plain ints and a finite float time, the whole of a well-formed
-    # trace, skip the per-field calls: batch jobs decode every line of a
-    # trace through here.
     if type(rater) is not int or type(target) is not int or type(value) is not int:
         rater = _integral(rater, "rater", where)
         target = _integral(target, "target", where)
@@ -276,6 +289,65 @@ def decode_jsonl(line: str, n: Optional[int] = None,
             f"(rater={rating.rater}, target={rating.target})"
         )
     return rating
+
+
+#: ``(rater, target, value, time)`` — one accepted JSONL line.
+_Row = Tuple[int, int, int, float]
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _read_rows(path: pathlib.Path, n: Optional[int],
+               skip: int) -> Iterator[_Row]:
+    """Stream the accepted rows of a JSONL file, skipping the first ``skip``.
+
+    The file is read in binary and each line decoded as UTF-8 on its
+    own, so an undecodable byte is a :class:`TraceError` naming
+    ``path:line``.  Lines split as text mode splits them (universal
+    newlines: LF, CR LF and a lone CR), and blank lines neither count
+    toward ``skip`` nor yield.  A line whose one JSON
+    object holds plain ``int`` ids and value, a finite ``float`` time
+    (or none) and passes the :class:`Rating` rules is accepted here;
+    any other line goes to :func:`decode_jsonl`, which returns its
+    rating or raises the error it names.
+    """
+    isfinite = math.isfinite
+    line_no = 0
+    seen = 0
+    with path.open("rb") as handle:
+        for raw in handle:
+            # A binary line ends at \n only; text mode also ends one at
+            # a lone \r, and never at a \r inside a UTF-8 sequence.
+            for piece in raw.splitlines() if b"\r" in raw else (raw,):
+                line_no += 1
+                try:
+                    line = piece.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise TraceError(
+                        f"{path}:{line_no}: invalid UTF-8: {exc}") from None
+                if not line:
+                    continue
+                seen += 1
+                if seen <= skip:
+                    continue
+                try:
+                    record, end = _raw_decode(line)
+                except (ValueError, RecursionError):
+                    record, end = None, -1
+                if end == len(line) and type(record) is dict:
+                    rater = record.get("rater")
+                    target = record.get("target")
+                    value = record.get("value")
+                    time = record.get("time", 0.0)
+                    if (type(rater) is int and type(target) is int
+                            and type(value) is int and type(time) is float
+                            and isfinite(time) and -1 <= value <= 1
+                            and rater != target and rater >= 0 and target >= 0
+                            and (n is None or (rater < n and target < n))):
+                        yield rater, target, value, time
+                        continue
+                rating = decode_jsonl(line, n=n, where=f"{path}:{line_no}")
+                yield rating.rater, rating.target, rating.value, rating.time
 
 
 def iter_jsonl(path: PathLike, n: Optional[int] = None,
@@ -300,31 +372,28 @@ def iter_jsonl(path: PathLike, n: Optional[int] = None,
     """
     if skip < 0:
         raise TraceError(f"skip must be non-negative, got {skip}")
-    path = pathlib.Path(path)
-    with path.open() as handle:
-        seen = 0
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            seen += 1
-            if seen <= skip:
-                continue
-            yield decode_jsonl(line, n=n, where=f"{path}:{line_no}")
+    for rater, target, value, time in _read_rows(pathlib.Path(path), n, skip):
+        yield Rating(rater, target, value, time)
 
 
 def load_jsonl(path: PathLike, n: Optional[int] = None) -> RatingLedger:
     """Load a whole JSONL event log into a :class:`RatingLedger`.
 
-    ``n`` defaults to ``max id + 1`` over the file (one streaming pass
-    buffers the events, so the file is read once).
+    Every line is validated first, then ``n`` (by default ``max id +
+    1`` over the file) bounds the ids: the first event naming an id at
+    or above it raises :class:`~repro.errors.UnknownNodeError`.  The
+    rows go into the ledger as four columns in one
+    :meth:`~repro.ratings.ledger.RatingLedger.extend`.
     """
-    events = list(iter_jsonl(path))
+    rows = list(_read_rows(pathlib.Path(path), None, 0))
+    columns: List[Tuple[Any, ...]] = list(zip(*rows)) or [(), (), (), ()]
+    raters, targets, values, times = columns
     if n is None:
-        n = 1 + max(
-            (max(e.rater, e.target) for e in events), default=0
-        )
+        n = 1 + max(max(raters, default=0), max(targets, default=0))
     ledger = RatingLedger(n)
-    for event in events:
-        ledger.add_rating(event)
+    if raters and max(max(raters), max(targets)) >= n:
+        for rater, target in zip(raters, targets):
+            if rater >= n or target >= n:
+                raise UnknownNodeError(rater if rater >= n else target, n)
+    ledger.extend(raters, targets, values, times)
     return ledger

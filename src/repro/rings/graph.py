@@ -27,14 +27,19 @@ may individually sit *below* the pair thresholds.  The
 Construction paths: :meth:`SuspectGraph.build` consumes half-verdicts
 plus raw pair counters (the shard-state shape the service exports);
 :meth:`SuspectGraph.from_matrix` derives both from a period
-:class:`~repro.ratings.matrix.RatingMatrix` by streaming its entries
-through an :class:`~repro.core.online.OnlineCollusionDetector` —
-backend-agnostic (COO sweep, no dense plane) and provably equal to the
-batch screen.
+:class:`~repro.ratings.matrix.RatingMatrix` with one COO sweep and the
+batch optimized detector's whole-array screen
+(:class:`~repro.core.optimized.ScreenPass`) — backend-agnostic (no
+dense plane) and property-tested equal, edges, bits and op charges, to
+streaming the entries through an
+:class:`~repro.core.online.OnlineCollusionDetector`.  Either way the
+candidate-edge filter is one numpy mask over the counters, and only
+the admitted edges are built one by one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -43,7 +48,7 @@ import numpy.typing as npt
 
 from repro.core.formula import formula2_bounds
 from repro.core.model import HalfVerdict
-from repro.core.online import OnlineCollusionDetector
+from repro.core.optimized import ScreenPass
 from repro.core.thresholds import DetectionThresholds
 from repro.errors import DetectionError
 from repro.ratings.matrix import RatingMatrix
@@ -165,50 +170,20 @@ class SuspectGraph:
 
         ``pair_counts`` supplies every stored ``(target, rater, eff,
         pos)`` counter of the period (the service's exported shard
-        state or a matrix entry sweep); candidate edges are selected
-        from it, then the legs named by ``halves`` are marked screened.
+        state); candidate edges are selected from it, then the legs
+        named by ``halves`` are marked screened.
         A screened leg always satisfies the candidate criteria (its
         frequency is ``>= T_N >= edge_floor * T_N`` and its positive
         fraction ``>= T_a``), so marking never adds edges.
         """
-        counters = ops if ops is not None else OpCounter()
+        ops = ops if ops is not None else OpCounter()
         graph = cls(n, thresholds, node_eff, node_pos, reputation,
                     edge_floor=edge_floor)
-        if include is not None and include.size:
-            if int(include.min()) < 0 or int(include.max()) >= n:
-                raise DetectionError(
-                    f"include ids outside universe of size {n}"
-                )
-            graph.high[include] = True
-        th = thresholds
-        floor = edge_floor * th.t_n
-        screened_keys: Set[Tuple[int, int]] = {
-            (h.rater, h.target) for h in halves
-        }
-        # The period summation reputation the Formula (2) screen runs
-        # against — derived from the node counters, exactly as the
-        # online detector derives it.
-        r_sum = (2 * node_pos - node_eff).astype(float)
-        for target, rater, eff, pos in pair_counts:
-            counters.add("edge_eval", 1)
-            if rater == target or eff <= 0 or eff < floor:
-                continue
-            if pos < th.t_a * eff:
-                continue
-            if not (graph.high[target] and graph.high[rater]):
-                continue
-            lower, upper = formula2_bounds(
-                float(node_eff[target]), float(eff), th.t_a, th.t_b
-            )
-            graph._edges[(rater, target)] = SuspectEdge(
-                rater=rater,
-                target=target,
-                frequency=eff,
-                positive=pos,
-                screened=(rater, target) in screened_keys,
-                band_score=_band_score(float(r_sum[target]),
-                                       float(lower), float(upper)),
-            )
+        graph._admit(include)
+        counts = np.fromiter(itertools.chain.from_iterable(pair_counts),
+                             dtype=np.int64).reshape(-1, 4)
+        graph._add_edges(counts[:, 0], counts[:, 1], counts[:, 2], counts[:, 3],
+                         {(h.rater, h.target) for h in halves}, ops)
         return graph
 
     @classmethod
@@ -224,48 +199,113 @@ class SuspectGraph:
     ) -> "SuspectGraph":
         """Build the graph for one period matrix (batch entry point).
 
-        The half-verdict set is derived by streaming the matrix's COO
-        entries through an :class:`OnlineCollusionDetector` (whose
-        screen is property-tested equal to the batch optimized
-        detector), so the mutually screened edges equal the batch pair
-        verdicts for the same ``(matrix, reputation)`` inputs.
-        Backend-agnostic: only ``entries()`` sweeps, no dense planes.
+        One ``entries()`` sweep (backend-agnostic, no dense planes)
+        supplies the pair counters, and the batch optimized detector's
+        whole-array screen (:class:`~repro.core.optimized.ScreenPass`:
+        booster mask, per-target booster mass, Formula (2) band) over
+        the same sweep marks the screened legs, so the mutually
+        screened edges equal the batch pair verdicts for the same
+        ``(matrix, reputation)`` inputs.
+
+        ``ops`` is charged what streaming the entries through an
+        :class:`~repro.core.online.OnlineCollusionDetector` and
+        screening it once would charge (``observe``, ``full_screen``,
+        ``hot_check``, ``formula_eval``, ``pact_eval``), plus
+        :meth:`build`'s ``edge_eval`` per entry; the streaming graph's
+        equality, charges included, is property-tested.
         """
         th = thresholds if thresholds is not None else DetectionThresholds()
-        counters = ops if ops is not None else OpCounter()
-        detector = OnlineCollusionDetector(
-            matrix.n, th, ops=counters,
-            multi_booster_exclusion=multi_booster_exclusion,
-        )
-        targets, raters, eff, pos = matrix.entries(effective=True)
-        for t, r, cnt, p in zip(targets.tolist(), raters.tolist(),
-                                eff.tolist(), pos.tolist()):
-            if p:
-                detector.observe(r, t, 1, count=p)
-            if cnt - p:
-                detector.observe(r, t, -1, count=cnt - p)
+        ops = ops if ops is not None else OpCounter()
+        n = matrix.n
+        targets, raters, eff, pos = entries = matrix.entries(effective=True)
+        # The node counters are the entries' column sums, as a streaming
+        # detector accumulates them.
+        node_eff = np.bincount(targets, weights=eff, minlength=n).astype(np.int64)
+        node_pos = np.bincount(targets, weights=pos, minlength=n).astype(np.int64)
+        r_sum = (2 * node_pos - node_eff).astype(float)
         if reputation is None:
-            gate = matrix.reputation_sum().astype(float)
+            gate = r_sum
         else:
             gate = np.asarray(reputation, dtype=float)
-            if gate.shape != (matrix.n,):
+            if gate.shape != (n,):
                 raise DetectionError(
                     f"reputation vector has shape {gate.shape}, "
-                    f"expected ({matrix.n},)"
+                    f"expected ({n},)"
                 )
-        include_ids = (None if include is None
-                       else np.asarray(include, dtype=np.int64))
-        halves = detector.period_candidates(reputation=gate,
-                                            include=include_ids)
-        graph = cls.build(
-            matrix.n, th, halves,
-            zip(targets.tolist(), raters.tolist(), eff.tolist(), pos.tolist()),
-            gate,
-            matrix.received_effective().astype(np.int64),
-            matrix.received_positive().astype(np.int64),
-            edge_floor=edge_floor, include=include_ids, ops=counters,
-        )
+        graph = cls(n, th, node_eff, node_pos, gate, edge_floor=edge_floor)
+        graph._admit(None if include is None
+                     else np.asarray(include, dtype=np.int64))
+        screen = ScreenPass(entries, graph.high, node_eff, r_sum, th,
+                            multi_booster_exclusion)
+        # The streaming charges: one observe per nonzero positive or
+        # negative run of an entry; one full screen of a fresh detector
+        # with a hot_check per high hot pair; then per screened target
+        # one formula_eval (one per booster without multi-booster
+        # exclusion) and a pact_eval per booster.
+        observes = int(np.count_nonzero(pos) + np.count_nonzero(eff - pos))
+        if observes:
+            ops.add("observe", observes)
+        ops.add("full_screen", 1)
+        if screen.hot_pairs:
+            ops.add("hot_check", screen.hot_pairs)
+        if screen.b_targets.size:
+            ops.add("formula_eval", len(screen.band_by_target)
+                    if multi_booster_exclusion else int(screen.b_targets.size))
+            ops.add("pact_eval", int(screen.b_targets.size))
+        screened = set(zip(screen.b_raters[screen.b_band].tolist(),
+                           screen.b_targets[screen.b_band].tolist()))
+        graph._add_edges(targets, raters, eff, pos, screened, ops)
         return graph
+
+    def _admit(self, include: Optional[npt.NDArray[np.int64]]) -> None:
+        """Mark the ``include`` ids high-reputed, as the detectors do."""
+        if include is not None and include.size:
+            if int(include.min()) < 0 or int(include.max()) >= self.n:
+                raise DetectionError(
+                    f"include ids outside universe of size {self.n}"
+                )
+            self.high[include] = True
+
+    def _add_edges(
+        self,
+        targets: npt.NDArray[np.int64],
+        raters: npt.NDArray[np.int64],
+        eff: npt.NDArray[np.int64],
+        pos: npt.NDArray[np.int64],
+        screened: Set[Tuple[int, int]],
+        ops: OpCounter,
+    ) -> None:
+        """Admit the candidate edges among the pair counters, in order.
+
+        One ``edge_eval`` per counter; the candidate filter is one mask
+        and only the admitted edges are built one by one.
+        """
+        if targets.size:
+            ops.add("edge_eval", int(targets.size))
+        th = self.thresholds
+        keep = ((raters != targets) & (eff > 0)
+                & (eff >= self.edge_floor * th.t_n) & (pos >= th.t_a * eff)
+                & self.high[targets] & self.high[raters])
+        targets, raters, eff, pos = (
+            targets[keep], raters[keep], eff[keep], pos[keep])
+        lower, upper = formula2_bounds(self.node_eff[targets].astype(float),
+                                       eff.astype(float), th.t_a, th.t_b)
+        # The period summation reputation the Formula (2) screen runs
+        # against — derived from the node counters, exactly as the
+        # online detector derives it.
+        r_sum = (2 * self.node_pos[targets] - self.node_eff[targets]).astype(float)
+        for rater, target, frequency, positive, rep, lo, hi in zip(
+                raters.tolist(), targets.tolist(), eff.tolist(), pos.tolist(),
+                r_sum.tolist(), np.asarray(lower).tolist(),
+                np.asarray(upper).tolist()):
+            self._edges[(rater, target)] = SuspectEdge(
+                rater=rater,
+                target=target,
+                frequency=frequency,
+                positive=positive,
+                screened=(rater, target) in screened,
+                band_score=_band_score(rep, lo, hi),
+            )
 
     # ------------------------------------------------------------------
     # queries

@@ -132,6 +132,11 @@ class _Handler(BaseHTTPRequestHandler):
         # and, as the stdlib's do, close the connection.
         if message is None:
             message = self.responses.get(code, ("error",))[0]
+        if self.request_version == "HTTP/0.9":
+            # The stdlib leaves its HTTP/0.9 default in place until the
+            # version parses, and an HTTP/0.9 answer has no status line
+            # or headers; the error still needs both to be read as one.
+            self.request_version = self.protocol_version
         self._error(code, message, {"Connection": "close"})
 
     def _read_body(self) -> Optional[bytes]:

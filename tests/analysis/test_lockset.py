@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,30 +33,32 @@ class TestGoldenGuardTables:
     """The committed tree's inferred guards, pinned attribute by
     attribute (the ``repro lint --guards`` acceptance contract)."""
 
-    def setup_method(self):
-        rows = compute_guards()
-        self.by_class = {}
-        for row in rows:
-            self.by_class.setdefault(row.cls, {})[row.attr] = row.guards
+    @pytest.fixture(scope="class")
+    def by_class(self):
+        # One summarize-and-link of the whole tree serves every test.
+        tables = {}
+        for row in compute_guards():
+            tables.setdefault(row.cls, {})[row.attr] = row.guards
+        return tables
 
-    def test_detection_service_state_is_guarded_by_ingest_lock(self):
-        guards = self.by_class["DetectionService"]
+    def test_detection_service_state_is_guarded_by_ingest_lock(self, by_class):
+        guards = by_class["DetectionService"]
         for attr in ("_epoch", "_accepted_per_shard", "_total_per_shard",
                      "_published", "_latest_verdicts", "_history",
                      "_started", "_restarts", "_last_close_error",
                      "_last_snapshot_events", "_ops_baselines", "workers"):
             assert guards[attr] == ("_ingest_lock",), attr
 
-    def test_no_service_attribute_is_unguarded(self):
+    def test_no_service_attribute_is_unguarded(self, by_class):
         unguarded = [attr for attr, guards
-                     in self.by_class["DetectionService"].items()
+                     in by_class["DetectionService"].items()
                      if not guards]
         assert unguarded == []
 
-    def test_process_service_is_the_same_coordinator(self):
+    def test_process_service_is_the_same_coordinator(self, by_class):
         """One coordinator: the process service adds no state of its
         own for the table to guard."""
-        assert "ProcessDetectionService" not in self.by_class
+        assert "ProcessDetectionService" not in by_class
 
 
 class TestEntryLocksets:

@@ -189,6 +189,26 @@ class TestJsonl:
         with pytest.raises(TraceError):
             list(iter_jsonl(path))
 
+    def write_undecodable(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"rater": 0, "target": 1, "value": 1}\n'
+                         b'{"rater": 1, "target": 2, "value": 1}\xff\n')
+        return path
+
+    def test_load_names_an_undecodable_line(self, tmp_path):
+        path = self.write_undecodable(tmp_path)
+        with pytest.raises(TraceError, match="invalid UTF-8") as exc:
+            load_jsonl(path)
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_iter_names_an_undecodable_line(self, tmp_path):
+        path = self.write_undecodable(tmp_path)
+        events = iter_jsonl(path)
+        assert next(events) == Rating(0, 1, 1)
+        with pytest.raises(TraceError, match="invalid UTF-8") as exc:
+            next(events)
+        assert str(exc.value).startswith(f"{path}:2: ")
+
     def test_load_jsonl_builds_ledger(self, tmp_path):
         path = tmp_path / "t.jsonl"
         append_jsonl(path, self.events())

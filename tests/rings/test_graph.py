@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.formula import formula2_bounds
+from repro.core.online import OnlineCollusionDetector
 from repro.core.optimized import OptimizedCollusionDetector
 from repro.core.thresholds import DetectionThresholds
 from repro.errors import DetectionError
@@ -142,10 +146,109 @@ class TestBandScore:
         deep = _band_score(21.0, 20.0, 40.0)
         assert 0.0 < shallow < deep <= 1.0
 
-    def test_matrix_round_trip_matches_manual_build(self, planted_matrix):
-        """from_matrix is a convenience over build() — same graph."""
-        direct = SuspectGraph.from_matrix(planted_matrix,
-                                          thresholds=THRESHOLDS)
-        again = SuspectGraph.from_matrix(planted_matrix,
-                                         thresholds=THRESHOLDS)
-        assert direct.to_dict() == again.to_dict()
+
+def streaming_graph(matrix, thresholds, reputation, include, edge_floor,
+                    multi_booster_exclusion):
+    """The graph ``from_matrix`` built by streaming: every matrix entry
+    through ``OnlineCollusionDetector.observe``, its ``period_candidates``
+    halves into ``SuspectGraph.build``, one counter charged throughout."""
+    ops = OpCounter()
+    detector = OnlineCollusionDetector(
+        matrix.n, thresholds, ops=ops,
+        multi_booster_exclusion=multi_booster_exclusion)
+    targets, raters, eff, pos = (a.tolist() for a in matrix.entries(effective=True))
+    for t, r, cnt, p in zip(targets, raters, eff, pos):
+        if p:
+            detector.observe(r, t, 1, count=p)
+        if cnt - p:
+            detector.observe(r, t, -1, count=cnt - p)
+    gate = (matrix.reputation_sum().astype(float) if reputation is None
+            else np.asarray(reputation, dtype=float))
+    include_ids = None if include is None else np.asarray(include, dtype=np.int64)
+    halves = detector.period_candidates(reputation=gate, include=include_ids)
+    node_eff = matrix.received_effective().astype(np.int64)
+    node_pos = matrix.received_positive().astype(np.int64)
+    graph = SuspectGraph.build(
+        matrix.n, thresholds, halves, zip(targets, raters, eff, pos), gate,
+        node_eff, node_pos, edge_floor=edge_floor, include=include_ids, ops=ops)
+    return graph, ops.snapshot(), scalar_edges(
+        thresholds, halves, zip(targets, raters, eff, pos), gate, node_eff,
+        node_pos, edge_floor, include_ids)
+
+
+def scalar_edges(thresholds, halves, pair_counts, gate, node_eff, node_pos,
+                 edge_floor, include):
+    """The candidate edges admitted one pair counter at a time, as
+    ``to_dict`` lists them."""
+    th = thresholds
+    high = gate >= th.t_r
+    if include is not None:
+        high[include] = True
+    screened = {(h.rater, h.target) for h in halves}
+    edges = []
+    for target, rater, eff, pos in pair_counts:
+        if (rater == target or eff <= 0 or eff < edge_floor * th.t_n
+                or pos < th.t_a * eff or not (high[target] and high[rater])):
+            continue
+        lower, upper = formula2_bounds(float(node_eff[target]), float(eff),
+                                       th.t_a, th.t_b)
+        reputation = float(2 * node_pos[target] - node_eff[target])
+        edges.append({"rater": rater, "target": target, "frequency": eff,
+                      "positive": pos, "screened": (rater, target) in screened,
+                      "band_score": _band_score(reputation, lower, upper)})
+    return sorted(edges, key=lambda e: (e["rater"], e["target"]))
+
+
+@st.composite
+def graph_inputs(draw):
+    """A planted period matrix plus random extra ratings, and a random
+    reputation gate, include set, edge floor and booster mode."""
+    n = draw(st.integers(12, 30))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=6,
+                            unique=True))
+    pairs = tuple(zip(members[0::2], members[1::2]))
+    matrix = build_planted_matrix(
+        n=n, pairs=pairs,
+        pair_ratings=draw(st.integers(1, 30)),
+        background=draw(st.integers(0, 300)),
+        critics_per_colluder=draw(st.integers(0, min(4, n - len(members)))),
+        critic_ratings=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)))
+    for rater, target, value, count in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from([-1, 0, 1]), st.integers(1, 25)), max_size=15)):
+        if rater != target:
+            matrix.add(rater, target, value, count=count)
+    t_a = draw(st.sampled_from([0.6, 0.75, 0.9, 1.0]))
+    thresholds = DetectionThresholds(
+        t_r=draw(st.sampled_from([-5.0, 0.0, 1.0, 8.0])), t_a=t_a,
+        t_b=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        t_n=draw(st.integers(1, 30)))
+    reputation = draw(st.one_of(
+        st.none(),
+        st.lists(st.floats(-20, 60, allow_nan=False), min_size=n, max_size=n)))
+    include = draw(st.one_of(st.none(), st.lists(st.integers(0, n - 1),
+                                                 max_size=6)))
+    edge_floor = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8, 1.0]))
+    multi = draw(st.booleans())
+    return matrix, thresholds, reputation, include, edge_floor, multi
+
+
+class TestStreamingEquivalence:
+    @given(graph_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_from_matrix_equals_streaming_build(self, inputs):
+        """The vectorized graph equals the streaming one: same edges,
+        screened flags and band-score bits, and the same op charges;
+        its edges are the ones a per-counter scan admits."""
+        matrix, thresholds, reputation, include, edge_floor, multi = inputs
+        ops = OpCounter()
+        graph = SuspectGraph.from_matrix(
+            matrix, thresholds=thresholds, reputation=reputation,
+            include=include, edge_floor=edge_floor,
+            multi_booster_exclusion=multi, ops=ops)
+        expected, expected_ops, edges = streaming_graph(
+            matrix, thresholds, reputation, include, edge_floor, multi)
+        assert graph.to_dict() == expected.to_dict()
+        assert graph.to_dict()["edges"] == edges
+        assert ops.snapshot() == expected_ops

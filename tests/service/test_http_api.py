@@ -387,7 +387,9 @@ class TestStdlibErrors:
 
     @staticmethod
     def exchange(url, raw_request):
-        """The body of the response to ``raw_request``, read to close."""
+        """The status line and body of the response to ``raw_request``,
+        read to close; the response must carry a status line and the
+        JSON and close headers, whatever the request line held."""
         address = urlparse(url)
         with socket.create_connection((address.hostname, address.port),
                                       timeout=5) as sock:
@@ -398,30 +400,30 @@ class TestStdlibErrors:
                 if not chunk:
                     break
                 data += chunk
-        # A request line the stdlib cannot parse is answered HTTP/0.9
-        # style: a body with no status line or headers.
-        if data.startswith(b"HTTP/"):
-            head, _, data = data.partition(b"\r\n\r\n")
-            assert b"Content-Type: application/json" in head
-            assert b"Connection: close" in head
-        return data
+        head, _, body = data.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.split(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 "), data
+        assert b"Content-Type: application/json" in header_lines
+        assert b"Connection: close" in header_lines
+        return status_line, body
 
-    @pytest.mark.parametrize("raw_request, named", [
+    @pytest.mark.parametrize("raw_request, status, named", [
         (b"PUT /ratings HTTP/1.1\r\nHost: test\r\n"
-         b"Content-Length: 0\r\n\r\n", "PUT"),
-        (b"GET / HTTP/9.9\r\nHost: test\r\n\r\n", "9.9"),
-        (b"GET / \"quoted\"\r\n\r\n", '"quoted"'),
+         b"Content-Length: 0\r\n\r\n", 501, "PUT"),
+        (b"GET / HTTP/9.9\r\nHost: test\r\n\r\n", 505, "9.9"),
+        (b"GET / \"quoted\"\r\n\r\n", 400, '"quoted"'),
     ], ids=["unsupported-method", "http-version", "malformed-line"])
-    def test_error_body_is_json(self, served, raw_request, named):
+    def test_error_body_is_json(self, served, raw_request, status, named):
         _service, url = served
-        doc = json.loads(self.exchange(url, raw_request))
-        assert named in doc["error"]
+        status_line, body = self.exchange(url, raw_request)
+        assert status_line.split()[1] == str(status).encode()
+        assert named in json.loads(body)["error"]
 
     def test_head_error_has_no_body(self, served):
         _service, url = served
-        data = self.exchange(url, b"HEAD /healthz HTTP/1.1\r\n"
-                                  b"Host: test\r\n\r\n")
-        assert data == b""
+        _status_line, body = self.exchange(url, b"HEAD /healthz HTTP/1.1\r\n"
+                                                b"Host: test\r\n\r\n")
+        assert body == b""
 
     def test_unsupported_method_is_501_json(self, served):
         _service, url = served

@@ -90,6 +90,15 @@ class TestReadSide:
         with pytest.raises(TraceError):
             list(wal.replay(0, n=5))
 
+    def test_replay_names_an_undecodable_line(self, wal):
+        wal.open_epoch(0)
+        wal.append(events((0, 1, 1)))
+        wal.close()
+        with wal.segment_path(0).open("ab") as handle:
+            handle.write(b'{"rater": 1, "target": 2, "value": 1}\xff\n')
+        with pytest.raises(TraceError, match=r"wal-00000000\.jsonl:2: invalid UTF-8"):
+            list(wal.replay(0))
+
     def test_epochs_sorted(self, wal):
         for epoch in (3, 0, 7):
             wal.open_epoch(epoch)
