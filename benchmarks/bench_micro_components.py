@@ -149,7 +149,7 @@ def test_ledger_to_matrix(benchmark):
     ledger = RatingLedger(N)
     ledger.extend(raters, targets, values, times)
     matrix = benchmark(ledger.to_matrix)
-    assert matrix.counts.sum() == len(ledger)
+    assert matrix.received_total().sum() == len(ledger)
 
 
 def test_matrix_aggregates(benchmark):

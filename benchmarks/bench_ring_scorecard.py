@@ -18,9 +18,10 @@ positive fraction ~0.2, honest ~0.8), then evaluated twice:
 * `SuspectGraph.from_matrix` + `RingDetector` — the subject under
   measurement, scored on membership precision/recall/F1.
 
-Operation counters are deterministic (fixed seeds, counted units), so
-``repro bench compare --metric ops --max-regress 0%`` gates the
-detection cost exactly.
+Operation counters are deterministic (fixed seeds, counted units).
+``ops`` records each ``scenario:counter`` plus their sum,
+``total_operations``, which ``repro bench compare --metric ops
+--max-regress 0%`` gates exactly.
 """
 
 import numpy as np
@@ -151,6 +152,8 @@ def run(config=None):
     for row in rows:
         for counter, value in row["ops"].items():
             ops[f"{row['name']}:{counter}"] = value
+    # The single number `repro bench compare --metric ops` gates.
+    ops["total_operations"] = sum(ops.values())
 
     evasions = ("time_diluted", "rating_spread")
     attacks = [row for row in rows if row["name"] != "honest"]

@@ -1,31 +1,24 @@
-"""Dense vs sparse matrix backends: memory and wall-clock scaling.
+"""Compressed-row rating matrix: memory and wall-clock scaling.
 
 The paper's complexity argument (Propositions 4.1/4.2) is about
 *operations*; this bench measures the other wall the reproduction hits
-first — **memory**.  The dense :class:`RatingMatrix` backend stores
-three ``int64`` ``(n, n)`` planes (24·n² bytes: ~2.4 GB at n=100 000),
-while the sparse backend stores O(E) compressed rows for E distinct
-(target, rater) edges.  Real rating graphs are sparse (a node rates a
-bounded number of peers per period), so at a fixed per-node edge
-density the sparse backend's footprint grows linearly where the dense
-one grows quadratically.
+first — **memory**.  :class:`RatingMatrix` stores O(E) compressed rows
+for E distinct (target, rater) edges, where three ``int64`` ``(n, n)``
+planes would take 24·n² bytes (~2.4 GB at n=100 000).  Real rating
+graphs are sparse (a node rates a bounded number of peers per period),
+so at a fixed per-node edge density the footprint grows linearly in n.
 
-For each size the bench builds the same planted-collusion workload on
-both backends (the dense build is *skipped* wherever its predicted
-24·n² bytes exceed the configured memory budget), runs the optimized
-detector, and records:
+For each size the bench builds the same planted-collusion workload,
+runs the optimized detector, and records:
 
 * wall-clock per phase (build + detect),
-* peak traced memory per phase (``tracemalloc`` — per-phase peaks;
-  ``ru_maxrss`` is also recorded but is process-monotonic),
+* peak traced memory over both phases (``tracemalloc``; ``ru_maxrss``
+  is also recorded but is process-monotonic),
 * the detector's nominal operation totals (deterministic, gated by
   ``repro bench compare --metric ops``).
 
-Checks: the sparse backend must finish the largest size inside the
-budget while the dense backend's predicted allocation exceeds it, and
-on every size where both backends run, their reports must match
-exactly (pairs and operation totals — the full byte-identical claim is
-property-tested in ``tests/core/test_backend_equivalence.py``).
+Checks: the largest size must finish inside the memory budget, and the
+detector must flag exactly the planted pairs there.
 """
 
 import resource
@@ -58,14 +51,6 @@ BOOST_COUNT = 30
 CRITICS = range(30, 31)
 CRITIC_NEGATIVES = 6
 
-DENSE_PLANES = 3
-INT64 = 8
-
-
-def dense_bytes(n):
-    """Predicted dense-backend allocation: three int64 (n, n) planes."""
-    return DENSE_PLANES * INT64 * n * n
-
 
 def make_events(n, edges_per_node, seed):
     """Random background edges + the planted collusion cluster."""
@@ -91,13 +76,13 @@ def make_events(n, edges_per_node, seed):
             np.concatenate([values, np.array(extra_v, dtype=np.int64)]))
 
 
-def run_backend(backend, n, events):
-    """Build + detect on one backend; return timings, peaks, report."""
+def build_and_detect(n, events):
+    """Build + detect once; return timings, peak, report."""
     raters, targets, values = events
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        matrix = RatingMatrix(n, backend=backend)
+        matrix = RatingMatrix(n)
         matrix.add_events(raters, targets, values)
         build_s = time.perf_counter() - start
         start = time.perf_counter()
@@ -116,12 +101,10 @@ def run_backend(backend, n, events):
 
 
 def run(config=None):
-    """Harness entrypoint: dense-vs-sparse scaling ladder.
+    """Harness entrypoint: the compressed-row scaling ladder.
 
-    Returns one series entry per size with both backends' timings,
-    per-phase peak traced memory and nominal op totals; the dense leg
-    is skipped (recorded as unallocatable) at sizes whose predicted
-    24·n² bytes exceed ``memory_budget_mb``.
+    Returns one series entry per size with its timings, peak traced
+    memory and nominal op totals.
     """
     cfg = merge_config(DEFAULT_CONFIG, config,
                        allowed=frozenset(DEFAULT_CONFIG))
@@ -129,55 +112,28 @@ def run(config=None):
     budget = int(cfg["memory_budget_mb"]) * 1024 * 1024
 
     series = []
-    reports_match = True
-    ops_total = 0
     for n in sizes:
         events = make_events(n, int(cfg["edges_per_node"]), int(cfg["seed"]))
-        entry = {
-            "n": n,
-            "events": int(events[0].size),
-            "dense_predicted_bytes": dense_bytes(n),
-            "dense_allocatable": dense_bytes(n) <= budget,
-        }
-        entry["sparse"] = run_backend("sparse", n, events)
-        ops_total += entry["sparse"]["ops_total"]
-        if entry["dense_allocatable"]:
-            entry["dense"] = run_backend("dense", n, events)
-            if (entry["dense"]["pairs"] != entry["sparse"]["pairs"]
-                    or entry["dense"]["ops_total"] != entry["sparse"]["ops_total"]):
-                reports_match = False
-        else:
-            entry["dense"] = None
-        series.append(entry)
+        series.append({"n": n, "events": int(events[0].size),
+                       **build_and_detect(n, events)})
 
     largest = series[-1]
     planted = sorted(sorted(p) for p in PLANTED_PAIRS)
     checks = {
-        "sparse_within_budget_at_max":
-            largest["sparse"]["peak_traced_bytes"] <= budget,
-        "dense_unallocatable_at_max": not largest["dense_allocatable"],
-        "reports_match_on_shared_sizes": reports_match,
-        "planted_pairs_detected_at_max":
-            largest["sparse"]["pairs"] == planted,
+        "within_budget_at_max":
+            largest["peak_traced_bytes"] <= budget,
+        "planted_pairs_detected_at_max": largest["pairs"] == planted,
     }
     return {
         "kind": "scaling",
-        "title": "dense vs sparse matrix backend scaling",
+        "title": "compressed-row matrix scaling",
         "series": series,
-        "ops": {"total_operations": ops_total},
+        "ops": {"total_operations": sum(e["ops_total"] for e in series)},
         "memory": {
             "unit": "bytes",
             "budget_bytes": budget,
-            "per_size": [
-                {
-                    "n": e["n"],
-                    "sparse_peak": e["sparse"]["peak_traced_bytes"],
-                    "dense_peak": (e["dense"]["peak_traced_bytes"]
-                                   if e["dense"] else None),
-                    "dense_predicted": e["dense_predicted_bytes"],
-                }
-                for e in series
-            ],
+            "per_size": [{"n": e["n"], "peak": e["peak_traced_bytes"]}
+                         for e in series],
             "ru_maxrss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         },
         "checks": checks,

@@ -4,9 +4,6 @@ The package enforces, statically, the project invariants that the
 test-suite can only check dynamically (and therefore only on the paths
 tests happen to exercise):
 
-* **REP001 backend-purity** — rating storage is reached through the
-  :class:`~repro.ratings.matrix.RatingMatrix` /
-  :class:`~repro.ratings.backends.MatrixBackend` facade;
 * **REP002 ops-discipline** — matrix sweeps in ``core/`` charge the
   shared :class:`~repro.util.counters.OpCounter` on *every* call path
   (interprocedural: a sweep in a private helper is fine when each

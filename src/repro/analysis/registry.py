@@ -1,6 +1,6 @@
 """Rule registry and the per-file context rules visit.
 
-A *rule* is a small AST pass with metadata: an id (``REP001`` …), the
+A *rule* is a small AST pass with metadata: an id (``REP002`` …), the
 invariant it protects, a default severity, and a scope — which files
 under ``src/repro`` it applies to.  Rules register themselves via
 :func:`register` at import time; :func:`all_rules` returns fresh

@@ -4,7 +4,6 @@ Importing this package registers every rule with
 :mod:`repro.analysis.registry`.  Each module holds one rule so the
 invariant's documentation lives next to the code enforcing it:
 
-* :mod:`~repro.analysis.rules.rep001_backend_purity` — REP001
 * :mod:`~repro.analysis.rules.rep002_ops_discipline` — REP002
 * :mod:`~repro.analysis.rules.rep004_determinism` — REP004
 * :mod:`~repro.analysis.rules.rep005_schema_versioning` — REP005
@@ -23,7 +22,6 @@ lockset/guard-inference layer (:mod:`repro.analysis.lockset`).
 """
 
 from repro.analysis.rules import (  # noqa: F401
-    rep001_backend_purity,
     rep002_ops_discipline,
     rep004_determinism,
     rep005_schema_versioning,
@@ -35,7 +33,6 @@ from repro.analysis.rules import (  # noqa: F401
 )
 
 __all__ = [
-    "rep001_backend_purity",
     "rep002_ops_discipline",
     "rep004_determinism",
     "rep005_schema_versioning",

@@ -46,8 +46,8 @@ class OpsDisciplineRule(Rule):
     severity = Severity.WARNING
     rationale = (
         "Formula (2)'s nominal OpCounter charging keeps Prop 4.1/4.2 "
-        "cost accounting byte-identical across backends and "
-        "vectorization strategies; an uncharged sweep silently breaks "
+        "cost accounting byte-identical across vectorization "
+        "strategies; an uncharged sweep silently breaks "
         "the Figure 13 trajectory and the CI ops gate. The check is "
         "interprocedural: a charge anywhere on every call path from "
         "the enclosing public entry point covers the sweep."

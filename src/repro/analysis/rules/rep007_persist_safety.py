@@ -17,11 +17,10 @@ The rule flags any write-mode ``open(...)`` / ``path.open(...)`` or
 ``path.write_text(...)`` in scope that is not covered by one of the
 three (the atomic-rename check is same-function: a write in a function
 that also calls ``os.replace``/``os.rename`` is taken as the temp-file
-pattern).  Scope is the persistence surface: ``service/`` and the
-mmap image publisher in
-``ratings/backends.py`` (``write_image`` must keep its tmp +
-``os.replace`` discipline so a crash mid-publish can never tear the
-image a restarted worker maps).
+pattern).  Scope is the persistence surface, ``service/``, which
+includes the state-image publisher in ``service/snapshot.py``
+(``write_image`` must keep its tmp + ``os.replace`` discipline so a
+crash mid-publish can never tear the image a restarted worker maps).
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class PersistSafetyRule(Rule):
         "guard cleanup with try/finally so a crash mid-write cannot "
         "leave a half-written artifact behind."
     )
-    scope = ("service/", "ratings/backends.py")
+    scope = ("service/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for _cls, fn in iter_function_scopes(ctx.tree):

@@ -32,8 +32,7 @@ Document layout (``SCHEMA_VERSION`` = 2)::
       "environment": {
         "python": "3.12.3", "implementation": "CPython",
         "numpy": "1.26.4", "platform": "...", "cpu_count": 8,
-        "git_sha": "abc123..." | null, "repro_version": "1.0.0",
-        "matrix_backend": "dense"             # v2: process-default engine
+        "git_sha": "abc123..." | null, "repro_version": "1.0.0"
       },
       "created_utc": 1754500000.0
     }
@@ -47,9 +46,10 @@ Version history
 * **1** — initial layout.
 * **2** — adds the optional top-level ``memory`` block (peak-memory
   measurements for benches that track allocation, e.g. the sparse
-  scaling bench) and the ``matrix_backend`` environment key.  Version-1
-  documents remain valid: readers accept both versions and treat the
-  new fields as absent.
+  scaling bench).  Version-1 documents remain valid: readers accept
+  both versions and treat the new fields as absent.  Documents written
+  while the repo had several matrix engines also carry an
+  ``environment.matrix_backend`` key; readers ignore it.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def environment_fingerprint(repo_dir: Optional[pathlib.Path] = None) -> Dict[str
         numpy_version = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dependency
         numpy_version = None
-    from repro.ratings.backends import get_default_backend
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -110,7 +108,6 @@ def environment_fingerprint(repo_dir: Optional[pathlib.Path] = None) -> Dict[str
         "cpu_count": os.cpu_count(),
         "git_sha": _git_sha(repo_dir),
         "repro_version": __version__,
-        "matrix_backend": get_default_backend(),
     }
 
 

@@ -22,7 +22,7 @@ Usage
     ``BENCH_<name>.json`` and gate changes against a baseline
     (see docs/BENCHMARKS.md).
 ``python -m repro lint``
-    The reprolint invariant linter: one serial pass of nine rules
+    The reprolint invariant linter: one serial pass of eight rules
     over ``src/repro``; any finding exits 1 (see docs/STATIC_ANALYSIS.md).
 """
 
@@ -254,14 +254,11 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-a", type=float, default=0.9)
     parser.add_argument("--t-b", type=float, default=0.7)
     parser.add_argument("--t-n", type=int, default=20)
-    from repro.ratings.backends import available_backends
-    parser.add_argument("--matrix-backend",
-                        choices=list(available_backends()),
+    parser.add_argument("--matrix-backend", choices=["mmap"],
                         default=None, dest="matrix_backend",
-                        help="matrix storage engine: 'mmap' additionally "
-                             "switches durable shard workers to binary "
-                             "state images mapped back in O(1) on restart "
-                             "(default: process default)")
+                        help="'mmap' switches durable shard workers to "
+                             "binary state images mapped back in O(1) on "
+                             "restart (default: JSON snapshots)")
 
 
 def _build_service(args: argparse.Namespace):
@@ -359,9 +356,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             from repro.core.optimized import OptimizedCollusionDetector
             from repro.ratings.matrix import RatingMatrix
 
-            matrix = RatingMatrix(config.n, backend=config.matrix_backend)
-            for event in service.epoch_wal_events():
-                matrix.add(event.rater, event.target, event.value)
+            events = service.epoch_wal_events()
+            matrix = RatingMatrix(config.n)
+            matrix.add_events([e.rater for e in events],
+                              [e.target for e in events],
+                              [e.value for e in events])
             batch = OptimizedCollusionDetector(config.thresholds).detect(matrix)
             match = batch.pair_set() == peek.report.pair_set()
             print(f"batch cross-check: {sorted(batch.pair_set())} "
@@ -454,26 +453,16 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     from repro.bench import discover, render_summary, run_suite
     from repro.errors import BenchError
 
-    from repro.ratings.backends import set_default_backend
-
     try:
         specs = discover(bench_dir=args.bench_dir,
                          tier=None if args.names else args.tier,
                          names=args.names or None)
         out_dir = None if args.no_write else pathlib.Path(args.out_dir)
-        # --backend swaps the process-default RatingMatrix engine, so
-        # every registered bench runs against it without script edits.
-        if args.backend is not None:
-            set_default_backend(args.backend)
-        try:
-            docs = run_suite(
-                specs, tier=args.tier, trials=args.trials,
-                out_dir=out_dir, repo_dir=pathlib.Path(args.out_dir),
-                progress=print,
-            )
-        finally:
-            if args.backend is not None:
-                set_default_backend(None)
+        docs = run_suite(
+            specs, tier=args.tier, trials=args.trials,
+            out_dir=out_dir, repo_dir=pathlib.Path(args.out_dir),
+            progress=print,
+        )
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -540,13 +529,6 @@ def _add_bench_parser(sub) -> None:
                         help="run and summarize without writing files")
     p_brun.add_argument("--bench-dir", default=None,
                         help="benchmarks/ directory (default: autodetect)")
-    from repro.ratings.backends import available_backends
-    p_brun.add_argument("--backend", choices=list(available_backends()),
-                        default=None,
-                        help="run every bench against this registered "
-                             "RatingMatrix backend (default: process "
-                             "default, dense); unknown names are rejected "
-                             "with the available set listed")
     p_brun.set_defaults(func=_cmd_bench_run)
 
     p_bcmp = bench_sub.add_parser(

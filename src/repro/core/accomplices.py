@@ -70,7 +70,7 @@ def find_accomplices(
     # pact (target, rater): rater rates target frequently (>= t_n
     # effective ratings) and almost always positively (pos/cnt >= t_a,
     # in the division-free form pos >= t_a * cnt).  The COO entry set
-    # never materializes an (n, n) plane, so the sweep is backend-pure.
+    # never materializes an (n, n) plane.
     targets, raters, cnt, pos = matrix.entries(effective=True)
     mask = (cnt >= thresholds.t_n) & (pos >= thresholds.t_a * cnt)
     pact = set(zip(targets[mask].tolist(), raters[mask].tolist()))

@@ -31,8 +31,8 @@ single-exclusion variant.
 Cost model (Proposition 4.1): for each of ``m`` high-reputed nodes, up
 to ``n`` elements are checked and each deep check rescans ``n``
 elements — **O(m n^2)**.  The implementation reads rows through the
-backend-agnostic :meth:`RatingMatrix.row_entries` accessor (so sparse
-matrices are never densified) and memoizes each row and booster set
+nonzero-only :meth:`RatingMatrix.row_entries` accessor (so the
+matrix is never densified) and memoizes each row and booster set
 for the duration of one ``detect()`` pass — the symmetric re-check no
 longer re-derives ``n_j``'s booster row per candidate pair.  The
 :class:`OpCounter` still *accounts* the algorithm's nominal

@@ -162,7 +162,7 @@ class DecentralizedCollusionDetector:
                 self.ops.add("freq_check", sys_.n - 1)
                 # Nonzero-elided row view: a rater with zero effective
                 # ratings can never clear t_n >= 1, so eliding zeros is
-                # exact (and backend-pure — no dense row materializes).
+                # exact (and no dense row materializes).
                 row_raters, row_counts, _ = matrix.row_entries(i)
                 candidates = row_raters[
                     (row_counts >= th.t_n) & (reputation[row_raters] >= th.t_r)

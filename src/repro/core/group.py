@@ -127,8 +127,8 @@ class GroupCollusionDetector:
                 raise DetectionError(f"include ids outside universe of size {n}")
             high[ids] = True
 
-        # Candidate edges come from the COO entry set (backend-pure:
-        # no (n, n) plane is materialized).  An entry is (target i,
+        # Candidate edges come from the COO entry set (no (n, n)
+        # plane is materialized).  An entry is (target i,
         # rater j, effective count, positive count); the C1/C3 screen
         # is the division-free form of a = pos/cnt >= t_a.
         targets, raters, cnt, pos = matrix.entries(effective=True)

@@ -28,8 +28,8 @@ symmetric re-check and evidence assembly of the (rare) candidates that
 pass the screen, and the booster rows consulted there are memoized
 from the broadcast pass rather than re-derived per ``(i, j)``.
 Because the accessor works on nonzero entries, the pass costs
-O(E + candidates) wall-clock for E stored edges — the sparse backend
-never materializes an ``(n, n)`` plane.
+O(E + candidates) wall-clock for E stored edges — no ``(n, n)`` plane
+is ever materialized.
 
 The operation counter is charged the *algorithm's nominal* costs, not
 the vectorized implementation's: one ``freq_check`` per rater element

@@ -574,25 +574,29 @@ def _planted_matrix(
     mutual positives while receiving negatives from the background.
     """
     gen = as_generator(rng)
-    matrix = RatingMatrix(n)
     total = background_per_node * n
     raters = gen.integers(0, n, size=total)
     targets = gen.integers(0, n, size=total)
     keep = raters != targets
     raters, targets = raters[keep], targets[keep]
     values = np.where(gen.random(raters.size) < 0.8, 1, -1)
-    matrix.add_events(raters, targets, values)
+    # Collect (rater, target, value, count) runs for one add_events
+    # call; the critic draws keep their order, so the matrix is seed-stable.
+    runs = []
     for k in range(n_pairs):
         a, b = 2 * k, 2 * k + 1
-        matrix.add(a, b, 1, count=pair_ratings)
-        matrix.add(b, a, 1, count=pair_ratings)
+        runs += [(a, b, 1, pair_ratings), (b, a, 1, pair_ratings)]
         # outsiders sour on the colluders
         critics = gen.choice(n, size=10, replace=False)
-        for c in critics:
-            c = int(c)
-            if c not in (a, b):
-                matrix.add(c, a, -1, count=3)
-                matrix.add(c, b, -1, count=3)
+        runs += [(int(c), victim, -1, 3) for c in critics
+                 if int(c) not in (a, b) for victim in (a, b)]
+    counts = [run[3] for run in runs]
+    matrix = RatingMatrix(n)
+    matrix.add_events(
+        np.concatenate([raters, np.repeat([r[0] for r in runs], counts)]),
+        np.concatenate([targets, np.repeat([r[1] for r in runs], counts)]),
+        np.concatenate([values, np.repeat([r[2] for r in runs], counts)]),
+    )
     return matrix
 
 

@@ -10,20 +10,10 @@ Orientation convention (used consistently across the library)
 --------------------------------------------------------------
 The paper's Table I notation is ambiguous about direction, so the code
 fixes one convention: matrices are indexed ``[target, rater]``.
-``counts[i, j]`` is the number of ratings *about* node ``i`` *from*
+Entry ``[i, j]`` is the number of ratings *about* node ``i`` *from*
 node ``j`` — i.e. row ``i`` collects everything node ``i`` received.
 """
 
-from repro.ratings.backends import (
-    BACKENDS,
-    DenseMatrixBackend,
-    MatrixBackend,
-    SparseMatrixBackend,
-    available_backends,
-    get_default_backend,
-    make_backend,
-    set_default_backend,
-)
 from repro.ratings.events import Rating, RatingValue, rating_from_score
 from repro.ratings.io import (
     append_jsonl,
@@ -46,14 +36,6 @@ from repro.ratings.aggregates import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "MatrixBackend",
-    "DenseMatrixBackend",
-    "SparseMatrixBackend",
-    "available_backends",
-    "get_default_backend",
-    "set_default_backend",
-    "make_backend",
     "Rating",
     "RatingValue",
     "rating_from_score",

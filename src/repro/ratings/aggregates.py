@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.errors import UnknownNodeError
 from repro.ratings.matrix import RatingMatrix
 
 __all__ = [
@@ -90,7 +89,7 @@ def pair_view(matrix: RatingMatrix, rater: int, target: int) -> PairView:
     """Exact Table-I view for a single (target, rater) pair."""
     pair_total = matrix.pair_count(rater, target)
     pair_positive = matrix.pair_positive(rater, target)
-    row_counts, row_pos, _ = matrix.row(target)
+    _, row_counts, row_pos = matrix.row_entries(target, effective=False)
     other_total = int(row_counts.sum()) - pair_total
     other_positive = int(row_pos.sum()) - pair_positive
     a = pair_positive / pair_total if pair_total > 0 else float("nan")
@@ -113,10 +112,10 @@ def positive_fraction_from(matrix: RatingMatrix, target: int) -> np.ndarray:
     ``a_j`` is the positive fraction of ratings from ``j`` about
     ``target``; ``nan`` where ``j`` gave no ratings.
     """
-    if not 0 <= target < matrix.n:
-        raise UnknownNodeError(target, matrix.n)
-    counts, pos, _ = matrix.row(target)
-    return _safe_div(pos.astype(float), counts.astype(float))
+    raters, counts, pos = matrix.row_entries(target, effective=False)
+    out = np.full(matrix.n, np.nan)
+    out[raters] = pos.astype(float) / counts.astype(float)
+    return out
 
 
 def positive_fraction_excluding(matrix: RatingMatrix, target: int) -> np.ndarray:
@@ -127,11 +126,9 @@ def positive_fraction_excluding(matrix: RatingMatrix, target: int) -> np.ndarray
     a broadcast of the row totals (one subtraction per element instead
     of the O(n^2) rescan the basic algorithm performs).
     """
-    if not 0 <= target < matrix.n:
-        raise UnknownNodeError(target, matrix.n)
-    counts, pos, _ = matrix.row(target)
-    total = counts.sum()
-    total_pos = pos.sum()
-    other_counts = (total - counts).astype(float)
-    other_pos = (total_pos - pos).astype(float)
-    return _safe_div(other_pos, other_counts)
+    raters, counts, pos = matrix.row_entries(target, effective=False)
+    other_counts = np.full(matrix.n, counts.sum())
+    other_pos = np.full(matrix.n, pos.sum())
+    other_counts[raters] -= counts
+    other_pos[raters] -= pos
+    return _safe_div(other_pos.astype(float), other_counts.astype(float))

@@ -9,12 +9,11 @@ loops.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RatingError, UnknownNodeError
-from repro.ratings.backends import MatrixBackend
 from repro.ratings.events import Rating
 from repro.ratings.matrix import RatingMatrix
 from repro.util.validation import check_int_range
@@ -193,18 +192,15 @@ class RatingLedger:
         t0: float = -np.inf,
         t1: float = np.inf,
         mask: Optional[np.ndarray] = None,
-        backend: Union[None, str, MatrixBackend] = None,
     ) -> RatingMatrix:
         """Build a :class:`RatingMatrix` from events in ``[t0, t1)``.
 
         A precomputed ``mask`` (from :meth:`window_mask`) may be passed
-        to avoid recomputing it.  ``backend`` selects the matrix
-        storage engine (``"dense"`` / ``"sparse"`` / ``None`` for the
-        process default); ingestion is one vectorized ``add_events``
-        call on either engine.
+        to avoid recomputing it.  Ingestion is one vectorized
+        ``add_events`` call.
         """
         m = self.window_mask(t0, t1) if mask is None else np.asarray(mask, dtype=bool)
-        matrix = RatingMatrix(self.n, backend=backend)
+        matrix = RatingMatrix(self.n)
         if m.any():
             matrix.add_events(
                 self.raters[m], self.targets[m], self.values[m].astype(np.int64)

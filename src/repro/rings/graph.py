@@ -29,8 +29,8 @@ plus raw pair counters (the shard-state shape the service exports);
 :meth:`SuspectGraph.from_matrix` derives both from a period
 :class:`~repro.ratings.matrix.RatingMatrix` with one COO sweep and the
 batch optimized detector's whole-array screen
-(:class:`~repro.core.optimized.ScreenPass`) — backend-agnostic (no
-dense plane) and property-tested equal, edges, bits and op charges, to
+(:class:`~repro.core.optimized.ScreenPass`) — no dense plane — and
+property-tested equal, edges, bits and op charges, to
 streaming the entries through an
 :class:`~repro.core.online.OnlineCollusionDetector`.  Either way the
 candidate-edge filter is one numpy mask over the counters, and only
@@ -199,7 +199,7 @@ class SuspectGraph:
     ) -> "SuspectGraph":
         """Build the graph for one period matrix (batch entry point).
 
-        One ``entries()`` sweep (backend-agnostic, no dense planes)
+        One ``entries()`` sweep over the stored entries
         supplies the pair counters, and the batch optimized detector's
         whole-array screen (:class:`~repro.core.optimized.ScreenPass`:
         booster mask, per-target booster mass, Formula (2) band) over

@@ -64,15 +64,11 @@ class ServiceConfig:
         Bind address for the HTTP query API (``port=0`` lets the OS
         pick a free port — tests rely on this).
     matrix_backend:
-        :class:`~repro.ratings.matrix.RatingMatrix` storage engine
-        (``"dense"`` / ``"sparse"`` / ``"mmap"``) used wherever the
-        service materializes a period matrix — e.g.
-        ``repro replay --verify``'s batch cross-check.  ``"mmap"``
-        additionally switches durable shards to binary state images
+        ``None`` (JSON shard snapshots) or ``"mmap"``, which switches
+        durable shards to binary state images
         (``shard-NN/images/*.repm``) that restarts map back in O(1)
-        instead of parsing a JSON snapshot.  ``None``
-        keeps the process default.  Unknown names are rejected with
-        the available set listed.
+        instead of parsing a JSON snapshot.  The rating matrix itself
+        is always compressed rows; any other value is rejected.
     """
 
     n: int
@@ -119,14 +115,12 @@ class ServiceConfig:
             )
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
-        if self.matrix_backend is not None:
-            from repro.ratings.backends import available_backends
-
-            if self.matrix_backend not in available_backends():
-                raise ConfigurationError(
-                    f"unknown matrix backend {self.matrix_backend!r}; "
-                    f"choose from {list(available_backends())}"
-                )
+        if self.matrix_backend not in (None, "mmap"):
+            raise ConfigurationError(
+                "matrix_backend must be one of [None, 'mmap'], "
+                f"got {self.matrix_backend!r}: the rating matrix is always "
+                "CSR rows, and 'mmap' only turns on shard state images"
+            )
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", pathlib.Path(self.data_dir))
 

@@ -128,8 +128,8 @@ class ShardState:
         """Snapshot + WAL-tail recovery, then catch up to ``meta_epoch``.
 
         Returns the ready status.  The wall-clock cost of the whole
-        sequence is recorded as ``restart_ms`` — the number the mmap
-        backend exists to shrink.
+        sequence is recorded as ``restart_ms`` — the number state images
+        (``matrix_backend="mmap"``) exist to shrink.
         """
         started = time.perf_counter()
         try:

@@ -11,6 +11,11 @@ reputations, latest verdicts) is the epoch commit point.
 
 Files are written to a temporary name and atomically renamed, so a
 crash mid-write can never leave a torn snapshot as the latest one.
+
+Durable shards under ``matrix_backend="mmap"`` write binary state
+images instead (:class:`StateImageStore`): the ``REPM`` container of
+:func:`write_image` / :func:`map_image`, which this module alone reads
+and writes.
 """
 
 from __future__ import annotations
@@ -20,13 +25,20 @@ import mmap
 import os
 import pathlib
 import re
+import struct
 from typing import Dict, List, Optional, Tuple, Union, cast
 
-from repro.errors import RecoveryError
-from repro.ratings.backends import IntArray, map_image, write_image
+import numpy as np
+import numpy.typing as npt
+
+from repro.errors import RecoveryError, ServiceError
 
 __all__ = ["SnapshotStore", "StateImageStore", "SNAPSHOT_FORMAT",
-           "META_FORMAT", "write_json", "read_json", "persisted_int"]
+           "META_FORMAT", "IMAGE_FORMAT", "IMAGE_MAGIC", "write_json",
+           "read_json", "persisted_int", "write_image", "map_image"]
+
+#: Concrete array type of every image segment: int64 counts.
+IntArray = npt.NDArray[np.int64]
 
 #: Bumped whenever the snapshot layout changes incompatibly.
 SNAPSHOT_FORMAT = 1
@@ -72,6 +84,133 @@ def persisted_int(state: Dict[str, object], key: str) -> int:
             f"persisted field {key!r} must be an integer, got {value!r}"
         )
     return value
+
+
+#: Leading magic of a state image file.
+IMAGE_MAGIC = b"REPM"
+
+#: Schema version of the image container.  Readers reject any other
+#: value — bump on any layout change.
+IMAGE_FORMAT = 1
+
+#: Every array segment (and the data region itself) starts on a
+#: 64-byte boundary so mapped views are cache-line aligned.
+_IMAGE_ALIGN = 64
+
+#: File layout: magic (4) + u32 format + u64 header length.
+_IMAGE_PREFIX = struct.Struct("<4sIQ")
+
+
+def _align_up(nbytes: int) -> int:
+    return (nbytes + _IMAGE_ALIGN - 1) // _IMAGE_ALIGN * _IMAGE_ALIGN
+
+
+def write_image(path: Union[str, "os.PathLike[str]"],
+                arrays: Dict[str, IntArray],
+                meta: Dict[str, object]) -> pathlib.Path:
+    """Atomically publish named ``int64`` arrays as a mappable image.
+
+    Layout: ``REPM`` magic, little-endian ``u32`` format version,
+    ``u64`` header length, a JSON header (array table-of-contents plus
+    caller ``meta``), then the raw array segments, each 64-byte
+    aligned.  The file is written to a ``.tmp`` sibling, fsynced, and
+    ``os.replace``d into place, so readers only ever observe complete
+    images — the same publish discipline as :func:`write_json`.
+    """
+    target = pathlib.Path(path)
+    toc: List[Dict[str, object]] = []
+    payload: List[IntArray] = []
+    offset = 0
+    for name in arrays:
+        arr = np.ascontiguousarray(arrays[name])
+        if arr.dtype != np.int64 or arr.ndim != 1:
+            raise ServiceError(
+                f"image array {name!r} must be a 1-D int64 array, "
+                f"got {arr.dtype} with shape {arr.shape}"
+            )
+        toc.append({"name": name, "dtype": "int64",
+                    "count": int(arr.size), "offset": offset})
+        payload.append(arr)
+        offset = _align_up(offset + arr.size * arr.itemsize)
+    header = json.dumps(
+        {"arrays": toc, "meta": meta},
+        sort_keys=True, separators=(",", ":"),
+    ).encode("utf-8")
+    data_start = _align_up(_IMAGE_PREFIX.size + len(header))
+    tmp = target.with_name(target.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(_IMAGE_PREFIX.pack(IMAGE_MAGIC, IMAGE_FORMAT,
+                                        len(header)))
+        handle.write(header)
+        handle.write(b"\0" * (data_start - _IMAGE_PREFIX.size - len(header)))
+        written = 0
+        for arr in payload:
+            handle.write(arr.tobytes())
+            nbytes = arr.size * arr.itemsize
+            pad = _align_up(written + nbytes) - written - nbytes
+            if pad:
+                handle.write(b"\0" * pad)
+            written = _align_up(written + nbytes)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, target)
+    return target
+
+
+def _close_quietly(mapping: mmap.mmap) -> None:
+    # Views created before a failure keep the buffer exported; leave
+    # those to the garbage collector instead of masking the error.
+    try:
+        mapping.close()
+    except BufferError:
+        pass
+
+
+def map_image(path: Union[str, "os.PathLike[str]"]
+              ) -> Tuple[Dict[str, IntArray], Dict[str, object], mmap.mmap]:
+    """Map a published image: zero-copy array views plus its metadata.
+
+    Returns ``(arrays, meta, mapping)``.  The views are read-only and
+    borrow the returned ``mmap`` buffer — keep a reference to the
+    mapping for as long as any view is alive.  Multiple processes
+    mapping the same file share one physical copy of the page cache.
+    """
+    source = pathlib.Path(path)
+    with open(source, "rb") as handle:
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        if mapping.size() < _IMAGE_PREFIX.size:
+            raise RecoveryError(f"image {source} is truncated")
+        magic, fmt, header_len = _IMAGE_PREFIX.unpack_from(mapping, 0)
+        if magic != IMAGE_MAGIC:
+            raise RecoveryError(f"{source} is not a state image "
+                                f"(bad magic {magic!r})")
+        if fmt != IMAGE_FORMAT:
+            raise RecoveryError(
+                f"image {source} has format version {fmt}, "
+                f"this build reads version {IMAGE_FORMAT}"
+            )
+        header_end = _IMAGE_PREFIX.size + int(header_len)
+        if mapping.size() < header_end:
+            raise RecoveryError(f"image {source} is truncated")
+        header = json.loads(mapping[_IMAGE_PREFIX.size:header_end]
+                            .decode("utf-8"))
+        data_start = _align_up(header_end)
+        arrays: Dict[str, IntArray] = {}
+        for entry in cast(List[Dict[str, object]], header["arrays"]):
+            name = cast(str, entry["name"])
+            count = int(cast(int, entry["count"]))
+            start = data_start + int(cast(int, entry["offset"]))
+            if mapping.size() < start + count * 8:
+                raise RecoveryError(
+                    f"image {source} is truncated in segment {name!r}")
+            arrays[name] = np.frombuffer(mapping, dtype=np.int64,
+                                         count=count, offset=start)
+        meta = cast(Dict[str, object], header["meta"])
+    except Exception:
+        _close_quietly(mapping)
+        raise
+    return arrays, meta, mapping
 
 
 def _position(state: Dict[str, object]) -> Tuple[int, int]:
@@ -152,10 +291,10 @@ class SnapshotStore(_PositionStore):
 
 
 class StateImageStore(_PositionStore):
-    """The binary twin of :class:`SnapshotStore` for the mmap backend.
+    """The binary twin of :class:`SnapshotStore` (``matrix_backend="mmap"``).
 
     One ``image-EEEEEEEE-WWWWWWWWWW.repm`` file per position: the
-    :func:`repro.ratings.backends.write_image` container (atomic tmp +
+    :func:`write_image` container (atomic tmp +
     fsync + rename) of the detector's pair/node counters and the
     cumulative reputation as raw ``int64`` segments.  Recovery maps the
     latest image in O(1) (``mmap`` + ``np.frombuffer``) instead of

@@ -138,7 +138,7 @@ class TestEngine:
         assert len(result.errors) == 1
         assert result.errors[0][0] == "pkg/broken.py"
 
-    def test_zero_findings_across_all_nine_rules(self):
+    def test_zero_findings_across_all_rules(self):
         """Re-pin the clean tree rule by rule.
 
         ``result.findings == []`` says the same thing, but when a rule

@@ -13,7 +13,7 @@ from repro.analysis.engine import lint_source
 from tests.analysis.conftest import fixture_source, lint_fixture
 
 ALL_RULE_IDS = [
-    "REP001", "REP002", "REP004", "REP005", "REP006", "REP007", "REP008",
+    "REP002", "REP004", "REP005", "REP006", "REP007", "REP008",
     "REP009", "REP011",
 ]
 
@@ -39,33 +39,6 @@ class TestRegistry:
             assert rule.title, rule.rule_id
             assert rule.rationale, rule.rule_id
             assert rule.severity in (Severity.ERROR, Severity.WARNING)
-
-
-class TestRep001BackendPurity:
-    def test_flags_private_storage_and_dense_views(self):
-        result = lint_fixture("rep001_violation", "p2p/fixture.py",
-                              only=["REP001"])
-        by_sev = {f.severity for f in result.findings}
-        assert len(result.findings) == 2
-        assert by_sev == {Severity.ERROR, Severity.WARNING}
-        private = [f for f in result.findings if f.severity == Severity.ERROR]
-        assert "_positives" in private[0].message
-
-    def test_clean_fixture_passes(self):
-        result = lint_fixture("rep001_clean", "p2p/fixture.py",
-                              only=["REP001"])
-        assert result.findings == []
-
-    def test_facade_modules_are_exempt(self):
-        result = lint_fixture("rep001_violation", "ratings/backends.py",
-                              only=["REP001"])
-        assert result.findings == []
-
-    def test_self_attributes_are_exempt(self):
-        source = fixture_source("rep001_clean")
-        assert "self._counts" in source  # the exemption under test
-        result = lint_source(source, "util/fixture.py", only=["REP001"])
-        assert result.findings == []
 
 
 class TestRep002OpsDiscipline:
@@ -151,9 +124,9 @@ class TestRep005SchemaVersioning:
         assert result.findings == []
 
     def test_image_writer_module_is_exempt(self):
-        """The mmap image container carries its own version stamp
+        """The state-image container carries its own version stamp
         (REPM magic + IMAGE_FORMAT), so its JSON header is exempt."""
-        result = lint_fixture("rep005_violation", "ratings/backends.py",
+        result = lint_fixture("rep005_violation", "service/snapshot.py",
                               only=["REP005"])
         assert result.findings == []
 
@@ -245,12 +218,12 @@ class TestRep007PersistSafety:
         assert result.findings == []
 
     def test_image_publish_path_is_in_scope(self):
-        """The mmap image publisher must keep the tmp + os.replace
-        discipline: torn writes are flagged under ratings/backends.py."""
-        flagged = lint_fixture("rep007_violation", "ratings/backends.py",
+        """The state-image publisher must keep the tmp + os.replace
+        discipline: torn writes are flagged under service/snapshot.py."""
+        flagged = lint_fixture("rep007_violation", "service/snapshot.py",
                                only=["REP007"])
         assert len(flagged.findings) == 2
-        clean = lint_fixture("rep007_clean", "ratings/backends.py",
+        clean = lint_fixture("rep007_clean", "service/snapshot.py",
                              only=["REP007"])
         assert clean.findings == []
 

@@ -41,7 +41,7 @@ class TestEnvironmentFingerprint:
         assert env["numpy"]
         assert env["cpu_count"] >= 1
         assert env["repro_version"]
-        assert env["matrix_backend"] in ("dense", "sparse", "mmap")
+        assert "matrix_backend" not in env
 
     def test_git_sha_none_outside_a_checkout(self, tmp_path):
         env = environment_fingerprint(repo_dir=tmp_path)
@@ -91,8 +91,13 @@ class TestValidateResult:
         doc = make_valid_doc()
         doc["schema_version"] = 1
         doc.pop("memory", None)
-        for key in ("matrix_backend",):
-            doc["environment"].pop(key, None)
+        assert validate_result(doc) == []
+
+    def test_retired_matrix_backend_key_still_valid(self):
+        """Committed baselines written with several matrix engines carry
+        ``environment.matrix_backend``; readers ignore the key."""
+        doc = make_valid_doc()
+        doc["environment"]["matrix_backend"] = "dense"
         assert validate_result(doc) == []
 
     def test_memory_block_optional_and_typed(self):

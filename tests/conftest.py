@@ -81,16 +81,23 @@ def small_sim_config():
     )
 
 
+def matrix_runs(matrix: RatingMatrix):
+    """Expand a count matrix into ``(rater, target, value, count)`` runs.
+
+    One run per nonzero (entry, value): positives, then negatives, then
+    neutrals, entries in ``(target, rater)`` order.
+    """
+    t, r, cnt, pos, neg = (a.tolist() for a in matrix.all_entries())
+    for target, rater, total, p, q in zip(t, r, cnt, pos, neg):
+        for value, count in ((1, p), (-1, q), (0, total - p - q)):
+            if count:
+                yield rater, target, value, count
+
+
 def ledger_from_matrix(matrix: RatingMatrix, time: float = 0.0) -> RatingLedger:
     """Expand a count matrix back into individual ledger events."""
     ledger = RatingLedger(matrix.n)
-    t_idx, r_idx = np.nonzero(matrix.counts)
-    for target, rater in zip(t_idx, r_idx):
-        target, rater = int(target), int(rater)
-        pos = int(matrix.positives[target, rater])
-        neg = int(matrix.negatives[target, rater])
-        neutral = int(matrix.counts[target, rater]) - pos - neg
-        for value, count in ((1, pos), (-1, neg), (0, neutral)):
-            for _ in range(count):
-                ledger.add(rater, target, value, time)
+    for rater, target, value, count in matrix_runs(matrix):
+        for _ in range(count):
+            ledger.add(rater, target, value, time)
     return ledger

@@ -10,7 +10,7 @@ from repro.core.thresholds import DetectionThresholds
 from repro.errors import DetectionError
 from repro.reputation.decentralized import DecentralizedReputationSystem
 
-from tests.conftest import build_planted_matrix
+from tests.conftest import build_planted_matrix, matrix_runs
 
 
 def feed_system(matrix, managers=4):
@@ -18,13 +18,9 @@ def feed_system(matrix, managers=4):
     system = DecentralizedReputationSystem(
         matrix.n, manager_addresses=[f"m{k}" for k in range(managers)]
     )
-    t_idx, r_idx = np.nonzero(matrix.counts)
-    for target, rater in zip(t_idx, r_idx):
-        target, rater = int(target), int(rater)
-        for _ in range(int(matrix.positives[target, rater])):
-            system.submit_rating(rater, target, 1)
-        for _ in range(int(matrix.negatives[target, rater])):
-            system.submit_rating(rater, target, -1)
+    for rater, target, value, count in matrix_runs(matrix):
+        for _ in range(count):
+            system.submit_rating(rater, target, value)
     system.update()
     return system
 

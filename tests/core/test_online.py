@@ -14,24 +14,15 @@ from repro.core.thresholds import DetectionThresholds
 from repro.errors import DetectionError, RatingError, UnknownNodeError
 from repro.ratings.matrix import RatingMatrix
 
+from tests.conftest import matrix_runs
 
 THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
 
 
 def feed(detector, matrix):
     """Stream a count matrix into the online detector."""
-    t_idx, r_idx = np.nonzero(matrix.counts)
-    for target, rater in zip(t_idx, r_idx):
-        target, rater = int(target), int(rater)
-        pos = int(matrix.positives[target, rater])
-        neg = int(matrix.negatives[target, rater])
-        neutral = int(matrix.counts[target, rater]) - pos - neg
-        if pos:
-            detector.observe(rater, target, 1, count=pos)
-        if neg:
-            detector.observe(rater, target, -1, count=neg)
-        if neutral:
-            detector.observe(rater, target, 0, count=neutral)
+    for rater, target, value, count in matrix_runs(matrix):
+        detector.observe(rater, target, value, count=count)
 
 
 class TestIngestion:

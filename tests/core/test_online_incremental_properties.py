@@ -4,9 +4,7 @@ Randomized interleavings of ``observe`` / ``end_period`` /
 ``export_state``/``restore_state`` (and the binary
 ``export_arrays``-image roundtrip) must produce ``DetectionReport``s
 byte-identical to an :class:`OptimizedCollusionDetector` batch run over
-the same window — across every registered matrix backend (dense,
-sparse, mmap), with the mmap comparator additionally running over a
-published-and-remapped image, i.e. the shared-memory read path.
+the same window.
 
 At every evaluation, :meth:`OnlineCollusionDetector.full_screen` on a
 state-identical copy must return the same half-verdicts as the
@@ -34,13 +32,8 @@ from repro.core.model import PairEvidence
 from repro.core.online import OnlineCollusionDetector, _screen_scalar
 from repro.core.optimized import OptimizedCollusionDetector
 from repro.core.thresholds import DetectionThresholds
-from repro.ratings.backends import (
-    MmapSparseBackend,
-    available_backends,
-    map_image,
-    write_image,
-)
 from repro.ratings.matrix import RatingMatrix
+from repro.service.snapshot import map_image, write_image
 from repro.util.counters import OpCounter
 
 N = 12
@@ -116,7 +109,7 @@ def interleavings(draw):
 class TestInterleavedEquivalence:
     @given(interleavings())
     @settings(max_examples=40, deadline=None)
-    def test_reports_byte_identical_to_batch_on_every_backend(self, ops):
+    def test_reports_byte_identical_to_batch(self, ops):
         online = OnlineCollusionDetector(N, THRESHOLDS)
         window = []  # events since the last period close
         tmp = tempfile.mkdtemp()
@@ -154,10 +147,10 @@ class TestInterleavedEquivalence:
                 online = fresh
             elif op[0] == "peek":
                 self._check_full_screen(online)
-                self._check(online.end_period(reset=False), window, tmp)
+                self._check(online.end_period(reset=False), window)
             elif op[0] == "end_period":
                 self._check_full_screen(online)
-                self._check(online.end_period(), window, tmp)
+                self._check(online.end_period(), window)
                 window = []
 
     def _check_full_screen(self, online):
@@ -170,17 +163,12 @@ class TestInterleavedEquivalence:
             online, {id(online.ops): OpCounter()}).full_screen()
         assert_halves_identical(incremental, reference)
 
-    def _check(self, report, window, tmp):
-        for backend in available_backends():
-            matrix = RatingMatrix(N, backend=backend)
-            for rater, target, value in window:
-                matrix.add(rater, target, value)
-            if backend == "mmap":
-                path = os.path.join(tmp, "window.repm")
-                matrix.backend.publish(path)
-                matrix = RatingMatrix(N, backend=MmapSparseBackend.map(path))
-            expected = OptimizedCollusionDetector(THRESHOLDS).detect(matrix)
-            assert_reports_identical(report, expected)
+    def _check(self, report, window):
+        matrix = RatingMatrix(N)
+        for rater, target, value in window:
+            matrix.add(rater, target, value)
+        expected = OptimizedCollusionDetector(THRESHOLDS).detect(matrix)
+        assert_reports_identical(report, expected)
 
 
 class TestScreenScalarBitEquality:

@@ -74,7 +74,7 @@ class TestScale:
         matrix = ledger.to_matrix()
         _, _, counts = ledger.pair_frequency_table()
         elapsed = time.perf_counter() - start
-        assert matrix.counts.sum() == len(ledger)
+        assert matrix.received_total().sum() == len(ledger)
         assert counts.sum() == len(ledger)
         assert elapsed < 30.0
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import UnknownNodeError
@@ -100,3 +101,39 @@ class TestPositiveFractionExcluding:
     def test_unknown_target(self):
         with pytest.raises(UnknownNodeError):
             positive_fraction_excluding(make_matrix(), target=-1)
+
+
+class TestOnCompressedRows:
+    """All three row views read the stored rows only (no dense plane).
+
+    Hand-computed case, neutrals included: target 0 gets 3 positives and
+    1 neutral from rater 1, 2 positives and 2 negatives from rater 2.
+    """
+
+    def make(self):
+        m = RatingMatrix(4)
+        m.add(1, 0, 1, count=3)
+        m.add(1, 0, 0, count=1)
+        m.add(2, 0, -1, count=2)
+        m.add(2, 0, 1, count=2)
+        assert m.backend_name == "csr"
+        return m
+
+    def test_pair_view(self):
+        view = pair_view(self.make(), rater=1, target=0)
+        assert (view.pair_total, view.pair_positive) == (4, 3)
+        assert (view.other_total, view.other_positive) == (4, 2)
+        assert (view.a, view.b) == (0.75, 0.5)
+
+    def test_positive_fraction_from(self):
+        np.testing.assert_array_equal(
+            positive_fraction_from(self.make(), target=0),
+            [np.nan, 0.75, 0.5, np.nan])
+
+    def test_positive_fraction_excluding(self):
+        np.testing.assert_array_equal(
+            positive_fraction_excluding(self.make(), target=0),
+            [5 / 8, 2 / 4, 3 / 4, 5 / 8])
+        np.testing.assert_array_equal(
+            positive_fraction_excluding(self.make(), target=3),
+            [np.nan] * 4)

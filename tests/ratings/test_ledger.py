@@ -133,7 +133,7 @@ class TestWindowing:
         led = self.make()
         mask = led.window_mask(0.0, 1.5)
         m = led.to_matrix(mask=mask)
-        assert m.counts.sum() == 2
+        assert m.received_total().sum() == 2
 
 
 class TestPairQueries:

@@ -1,4 +1,4 @@
-"""Tests for the dense rating matrix."""
+"""Tests for the rating matrix (compressed-row storage)."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from repro.ratings.matrix import RatingMatrix
 class TestConstruction:
     def test_starts_zeroed(self):
         m = RatingMatrix(4)
-        assert m.counts.sum() == 0
-        assert m.positives.sum() == 0
-        assert m.negatives.sum() == 0
+        assert all(a.size == 0 for a in m.all_entries())
+        assert m.received_total().sum() == 0
+        assert m.backend_name == "csr"
 
     def test_invalid_size(self):
         with pytest.raises(Exception):
@@ -47,8 +47,10 @@ class TestAdd:
     def test_orientation_target_rater(self):
         m = RatingMatrix(3)
         m.add(rater=2, target=0, value=1)
-        assert m.counts[0, 2] == 1
-        assert m.counts[2, 0] == 0
+        targets, raters, _, _, _ = m.all_entries()
+        assert (targets.tolist(), raters.tolist()) == ([0], [2])
+        assert m.row_entries(0)[0].tolist() == [2]
+        assert m.row_entries(2)[0].size == 0
 
     def test_self_rating_rejected(self):
         m = RatingMatrix(3)
@@ -89,13 +91,13 @@ class TestAddEvents:
     def test_empty_ok(self):
         m = RatingMatrix(3)
         m.add_events([], [], [])
-        assert m.counts.sum() == 0
+        assert m == RatingMatrix(3)
 
     def test_self_rating_rejected_atomically(self):
         m = RatingMatrix(3)
         with pytest.raises(RatingError):
             m.add_events([0, 1], [1, 1], [1, 1])
-        assert m.counts.sum() == 0  # nothing partially applied
+        assert m == RatingMatrix(3)  # nothing partially applied
 
     def test_out_of_range_rejected(self):
         m = RatingMatrix(3)
@@ -140,14 +142,17 @@ class TestAggregates:
 
     def test_row_views(self):
         m = self.make()
-        counts, pos, neg = m.row(1)
-        assert counts[0] == 3
-        assert pos[0] == 3
-        assert neg[2] == 2
+        raters, counts, pos = m.row_entries(1, effective=False)
+        assert raters.tolist() == [0, 2, 3]
+        assert counts.tolist() == [3, 2, 1]
+        assert pos.tolist() == [3, 0, 0]
+        raters, counts, pos = m.row_entries(1)   # neutral rater 3 elided
+        assert raters.tolist() == [0, 2]
+        assert counts.tolist() == [3, 2]
 
     def test_row_unknown_node(self):
         with pytest.raises(UnknownNodeError):
-            self.make().row(9)
+            self.make().row_entries(9)
 
 
 class TestCopyEquality:
@@ -176,4 +181,4 @@ class TestCopyEquality:
         m = RatingMatrix(3)
         m.add(0, 1, 1)
         m.reset()
-        assert m.counts.sum() == 0
+        assert m == RatingMatrix(3)

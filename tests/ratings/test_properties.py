@@ -9,6 +9,8 @@ from repro.ratings.io import decode_jsonl, iter_jsonl, load_jsonl
 from repro.ratings.ledger import RatingLedger
 from repro.ratings.matrix import RatingMatrix
 
+from tests.conftest import matrix_runs
+
 N = 8
 
 events_strategy = st.lists(
@@ -48,9 +50,9 @@ class TestLedgerMatrixConsistency:
         left = led.to_matrix(t1=split)
         right = led.to_matrix(t0=split)
         combined = RatingMatrix(N)
-        combined.counts[:] = left.counts + right.counts
-        combined.positives[:] = left.positives + right.positives
-        combined.negatives[:] = left.negatives + right.negatives
+        for part in (left, right):
+            for rater, target, value, count in matrix_runs(part):
+                combined.add(rater, target, value, count)
         assert combined == full
 
     @given(events_strategy)
@@ -69,8 +71,9 @@ class TestLedgerMatrixConsistency:
     def test_counts_bound_parts(self, events):
         """positives + negatives never exceed totals (neutrals fill the gap)."""
         m = ledger_from(events).to_matrix()
-        assert ((m.positives + m.negatives) <= m.counts).all()
-        assert (m.counts >= 0).all()
+        _, _, counts, pos, neg = m.all_entries()
+        assert (pos + neg <= counts).all()
+        assert (counts >= 1).all()   # only nonzero entries are stored
 
     @given(events_strategy)
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from repro.core.thresholds import DetectionThresholds
 from repro.errors import ConfigurationError, DHTError
 from repro.reputation.decentralized import DecentralizedReputationSystem
 
-from tests.conftest import build_planted_matrix
+from tests.conftest import build_planted_matrix, matrix_runs
 
 
 def loaded_system(n=40, managers=4, seed=0):
@@ -17,13 +17,9 @@ def loaded_system(n=40, managers=4, seed=0):
     system = DecentralizedReputationSystem(
         n, manager_addresses=[f"m{k}" for k in range(managers)]
     )
-    t_idx, r_idx = np.nonzero(matrix.counts)
-    for target, rater in zip(t_idx, r_idx):
-        target, rater = int(target), int(rater)
-        for _ in range(int(matrix.positives[target, rater])):
-            system.submit_rating(rater, target, 1)
-        for _ in range(int(matrix.negatives[target, rater])):
-            system.submit_rating(rater, target, -1)
+    for rater, target, value, count in matrix_runs(matrix):
+        for _ in range(count):
+            system.submit_rating(rater, target, value)
     system.update()
     return system, matrix
 
@@ -110,11 +106,11 @@ class TestRemoveManager:
     def test_churn_sequence(self):
         """Repeated joins and leaves never lose or duplicate state."""
         system, _ = loaded_system()
-        total_before = int(system.global_matrix().counts.sum())
+        total_before = int(system.global_matrix().received_total().sum())
         joined = [system.add_manager(f"extra-{k}") for k in range(3)]
         for mid in joined[:2]:
             system.remove_manager(mid)
         system.add_manager("late")
-        assert int(system.global_matrix().counts.sum()) == total_before
+        assert int(system.global_matrix().received_total().sum()) == total_before
         report = DecentralizedCollusionDetector(system, THRESHOLDS).detect()
         assert report.pair_set() == {(4, 5), (6, 7)}

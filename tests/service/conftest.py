@@ -15,7 +15,7 @@ from repro.ratings.matrix import RatingMatrix
 from repro.service import (DetectionService, ProcessDetectionService,
                            ServiceConfig)
 
-from tests.conftest import build_planted_matrix
+from tests.conftest import build_planted_matrix, matrix_runs
 
 SERVICE_THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
 
@@ -23,15 +23,8 @@ SERVICE_THRESHOLDS = DetectionThresholds(t_r=1.0, t_a=0.9, t_b=0.7, t_n=40)
 def matrix_to_events(matrix: RatingMatrix, seed: int = 3) -> List[Rating]:
     """Flatten a count matrix into a shuffled stream of Rating events."""
     events: List[Rating] = []
-    t_idx, r_idx = np.nonzero(matrix.counts)
-    for target, rater in zip(t_idx, r_idx):
-        target, rater = int(target), int(rater)
-        pos = int(matrix.positives[target, rater])
-        neg = int(matrix.negatives[target, rater])
-        neutral = int(matrix.counts[target, rater]) - pos - neg
-        events.extend(Rating(rater, target, 1) for _ in range(pos))
-        events.extend(Rating(rater, target, -1) for _ in range(neg))
-        events.extend(Rating(rater, target, 0) for _ in range(neutral))
+    for rater, target, value, count in matrix_runs(matrix):
+        events.extend(Rating(rater, target, value) for _ in range(count))
     np.random.default_rng(seed).shuffle(events)
     return [
         Rating(e.rater, e.target, e.value, time=float(i))

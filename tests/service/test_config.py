@@ -46,17 +46,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServiceConfig(n=10, port=port)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "mmap"])
+    @pytest.mark.parametrize("backend", [None, "mmap"])
     def test_registered_matrix_backends_accepted(self, backend):
         assert ServiceConfig(n=10, matrix_backend=backend) is not None
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_retired_matrix_engines_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="always CSR"):
+            ServiceConfig(n=10, matrix_backend=backend)
 
     def test_unknown_matrix_backend_lists_available_set(self):
         with pytest.raises(ConfigurationError) as excinfo:
             ServiceConfig(n=10, matrix_backend="cuda")
         message = str(excinfo.value)
         assert "'cuda'" in message
-        for name in ("dense", "mmap", "sparse"):
-            assert name in message
+        assert "[None, 'mmap']" in message
 
 
 class TestDurability:

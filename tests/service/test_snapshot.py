@@ -1,11 +1,13 @@
-"""Tests for the atomic snapshot store."""
+"""Tests for the atomic snapshot store and the REPM state-image container."""
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, ServiceError
 from repro.service import SnapshotStore
+from repro.service.snapshot import IMAGE_FORMAT, map_image, write_image
 
 
 def state(epoch=0, wal_applied=0, **extra):
@@ -83,3 +85,65 @@ class TestCorruption:
         (store.directory / "README.txt").write_text("not a snapshot")
         store.save(state(epoch=1))
         assert store.load_latest()["epoch"] == 1
+
+
+def sample_arrays():
+    return {"indptr": np.array([0, 2, 2, 3], dtype=np.int64),
+            "values": np.array([5, -1, 7], dtype=np.int64),
+            "empty": np.empty(0, dtype=np.int64)}
+
+
+class TestStateImage:
+    """``write_image`` / ``map_image``: the container shard images use."""
+
+    def test_publish_map_roundtrip(self, tmp_path):
+        path = tmp_path / "state.repm"
+        write_image(path, sample_arrays(), {"kind": "shard", "epoch": 7})
+        arrays, meta, mapping = map_image(path)
+        assert meta == {"kind": "shard", "epoch": 7}
+        assert list(arrays) == list(sample_arrays())
+        for name, want in sample_arrays().items():
+            np.testing.assert_array_equal(arrays[name], want)
+            assert not arrays[name].flags.writeable  # borrowed view
+            assert arrays[name].ctypes.data % 64 == 0 or not want.size
+        del arrays
+        mapping.close()
+
+    def test_publish_is_atomic(self, tmp_path):
+        path = tmp_path / "state.repm"
+        write_image(path, sample_arrays(), {"epoch": 1})
+        first = path.read_bytes()
+        write_image(path, {}, {"epoch": 2})  # overwrite in place
+        assert path.read_bytes() != first
+        assert not list(tmp_path.glob("*.tmp"))
+        arrays, meta, mapping = map_image(path)
+        assert arrays == {} and meta == {"epoch": 2}
+        mapping.close()
+
+    def test_rejects_bad_magic_and_truncation(self, tmp_path):
+        path = tmp_path / "bad.repm"
+        path.write_bytes(b"NOPE" + b"\0" * 64)
+        with pytest.raises(RecoveryError, match="magic"):
+            map_image(path)
+        path.write_bytes(b"RE")
+        with pytest.raises(RecoveryError, match="truncated"):
+            map_image(path)
+        write_image(path, sample_arrays(), {})
+        path.write_bytes(path.read_bytes()[:-48])  # into "values"
+        with pytest.raises(RecoveryError, match="truncated in segment"):
+            map_image(path)
+
+    def test_rejects_future_format_version(self, tmp_path):
+        path = tmp_path / "state.repm"
+        write_image(path, sample_arrays(), {})
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (IMAGE_FORMAT + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(RecoveryError, match="format version"):
+            map_image(path)
+
+    def test_write_image_rejects_non_int64(self, tmp_path):
+        with pytest.raises(ServiceError, match="int64"):
+            write_image(tmp_path / "x.repm",
+                        {"x": np.arange(3, dtype=np.float64)}, {})
+        assert not list(tmp_path.iterdir())
