@@ -13,15 +13,22 @@ shipped, and re-analyzed:
   can stream a file that is still being written.  This is the
   detection service's write-ahead-log format
   (:mod:`repro.service.wal`), and doubles as a trace-tooling
-  interchange format.  One binary line reader serves
+  interchange format.  One chunked columnar reader serves
   :func:`iter_jsonl` (WAL replay) and :func:`load_jsonl` (whole
-  traces): a well-formed line is accepted on a fast path of plain type
-  checks, and every other line is re-read by :func:`decode_jsonl`, the
-  per-line reference, so errors read the same on every path.
+  traces).  It reads about 256 KiB of whole lines at a time, splits
+  them on ``\n`` only, joins the non-blank lines into one JSON array
+  for a single ``json.loads``, and runs the checks on four numpy
+  columns.  The join is trusted only when no record can span two
+  lines: the chunk holds no ``[`` or ``]``, every line is one
+  ``{...}``, and the ``{`` count, the ``}`` count and the number of
+  parsed records all equal the line count.  Any chunk that fails the
+  guard, the UTF-8 decode, the parse or a column check is re-read
+  line by line through :func:`decode_jsonl`, the per-line reference,
+  so errors read the same on every path.
 
 All loaders validate like live ingestion (id ranges, values, no
-self-ratings), so a corrupted file fails loudly instead of poisoning an
-analysis.
+self-ratings, finite times), so a corrupted file fails loudly instead
+of poisoning an analysis.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import csv
 import json
 import math
 import pathlib
-from typing import IO, Any, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Any, Generator, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +62,16 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 _HEADER = ["rater", "target", "value", "time"]
+
+
+def _first_nonfinite(times: np.ndarray) -> int:
+    """The index of the first NaN or infinite time, or -1 if none is.
+
+    Such a time lies outside every window, so a rating with one would
+    drop out of every matrix without a word.
+    """
+    finite = np.isfinite(times)
+    return -1 if finite.all() else int(np.argmin(finite))
 
 
 def save_csv(ledger: RatingLedger, path: PathLike) -> int:
@@ -87,6 +104,7 @@ def load_csv(path: PathLike, n: Union[int, None] = None) -> RatingLedger:
     targets = []
     values = []
     times = []
+    line_nos = []
     header_n = None
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -101,7 +119,11 @@ def load_csv(path: PathLike, n: Union[int, None] = None) -> RatingLedger:
             )
         for extra in header[len(_HEADER):]:
             if extra.startswith("n="):
-                header_n = int(extra[2:])
+                try:
+                    header_n = int(extra[2:])
+                except ValueError:
+                    raise TraceError(f"{path}:1: universe size must be an "
+                                     f"integer, got {extra!r}") from None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -115,6 +137,11 @@ def load_csv(path: PathLike, n: Union[int, None] = None) -> RatingLedger:
                 times.append(float(row[3]))
             except ValueError as exc:
                 raise TraceError(f"{path}:{line_no}: {exc}") from None
+            line_nos.append(line_no)
+    bad = _first_nonfinite(np.array(times, dtype=np.float64))
+    if bad >= 0:
+        raise TraceError(f"{path}:{line_nos[bad]}: time must be finite, "
+                         f"got {times[bad]!r}")
 
     if n is None:
         n = header_n
@@ -149,12 +176,17 @@ def load_npz(path: PathLike) -> RatingLedger:
             raise TraceError(
                 f"{path} is missing ledger arrays: {sorted(missing)}"
             )
+        times = archive["times"]
+        bad = _first_nonfinite(times)
+        if bad >= 0:
+            raise TraceError(f"{path}: time must be finite, got "
+                             f"{float(times[bad])!r} (event {bad})")
         ledger = RatingLedger(int(archive["n"]))
         ledger.extend(
             archive["raters"],
             archive["targets"],
             archive["values"].astype(np.int64),
-            archive["times"],
+            times,
         )
     return ledger
 
@@ -294,60 +326,167 @@ def validate_record(record: Any, n: Optional[int] = None,
 #: ``(rater, target, value, time)`` — one accepted JSONL line.
 _Row = Tuple[int, int, int, float]
 
-_raw_decode = json.JSONDecoder().raw_decode
+#: Raters, targets, values (``int64``) and times (``float64``) of a run
+#: of accepted lines; ids past ``int64`` make ``object`` id columns.
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Bytes per read of the JSONL reader.  A chunk runs on to the next
+#: ``\n``, so it holds whole lines.
+_CHUNK_BYTES = 256 * 1024
 
 
-def _read_rows(path: pathlib.Path, n: Optional[int],
-               skip: int) -> Iterator[_Row]:
-    """Stream the accepted rows of a JSONL file, skipping the first ``skip``.
+def _byte_chunks(handle: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of ``handle`` in chunks of about :data:`_CHUNK_BYTES`,
+    each ending at a ``\n`` (the last one may not)."""
+    tail = b""
+    while True:
+        block = handle.read(_CHUNK_BYTES)
+        if not block:
+            if tail:
+                yield tail
+            return
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            tail += block
+            continue
+        yield tail + block[:cut]
+        tail = block[cut:]
 
-    The file is read in binary and each line decoded as UTF-8 on its
-    own, so an undecodable byte is a :class:`TraceError` naming
-    ``path:line``.  Lines split as text mode splits them (universal
-    newlines: LF, CR LF and a lone CR), and blank lines neither count
-    toward ``skip`` nor yield.  A line whose one JSON
-    object holds plain ``int`` ids and value, a finite ``float`` time
-    (or none) and passes the :class:`Rating` rules is accepted here;
-    any other line goes to :func:`decode_jsonl`, which returns its
-    rating or raises the error it names.
+
+def _chunk_lines(chunk: bytes) -> Optional[List[str]]:
+    """The stripped non-blank lines of a chunk, or ``None`` if it is not
+    UTF-8 or splits differently in text mode (a lone ``\r``)."""
+    try:
+        text = chunk.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    # str.splitlines() would also split at \x0b, \x1c, \x85, \u2028...
+    return [line for line in map(str.strip, text.split("\n")) if line]
+
+
+def _columns(lines: List[str], n: Optional[int]) -> Optional[_Columns]:
+    """The lines as columns with one ``json.loads``, or ``None`` if any of
+    them needs the per-line reference.
+
+    The lines are parsed as one JSON array, which is sound only if no
+    record can span two lines: every line is one ``{...}`` holding no
+    other brace or bracket, so every brace is structural.  The columns
+    then pass only if every line is a rating the fast path of
+    :func:`validate_record` accepts: ``int`` ids and value, an ``int``
+    or ``float`` time (or none) that is finite, and the :class:`Rating`
+    and ``n`` rules.
     """
-    isfinite = math.isfinite
+    count = len(lines)
+    body = "\n".join(lines)
+    if (body[0] != "{" or body[-1] != "}" or body.count("}\n{") != count - 1
+            or body.count("{") != count or body.count("}") != count
+            or "[" in body or "]" in body):
+        return None
+    try:
+        records = json.loads("[" + body.replace("\n", ",") + "]")
+        raters = [record["rater"] for record in records]
+        targets = [record["target"] for record in records]
+        values = [record["value"] for record in records]
+    except (ValueError, KeyError):
+        return None
+    times = [record.get("time", 0.0) for record in records]
+    kinds = set(map(type, raters))
+    kinds.update(map(type, targets))
+    kinds.update(map(type, values))
+    if (len(records) != count or kinds != {int}
+            or not set(map(type, times)) <= {int, float}):
+        return None
+    try:
+        r = np.array(raters, dtype=np.int64)
+        t = np.array(targets, dtype=np.int64)
+        v = np.array(values, dtype=np.int64)
+        tm = np.array(times, dtype=np.float64)
+    except OverflowError:
+        return None
+    top = max(int(r.max()), int(t.max()))
+    if (r.min() < 0 or t.min() < 0 or (n is not None and top >= n)
+            or v.min() < -1 or v.max() > 1 or (r == t).any()
+            or _first_nonfinite(tm) >= 0):
+        return None
+    return r, t, v, tm
+
+
+def _stack(rows: List[_Row]) -> _Columns:
+    """Rows as columns; ids past ``int64`` (which :class:`Rating` allows)
+    stay Python ints in ``object`` columns."""
+    raters, targets, values, times = zip(*rows)
+    try:
+        ids = np.array([raters, targets], dtype=np.int64)
+    except OverflowError:
+        ids = np.array([raters, targets], dtype=object)
+    return (ids[0], ids[1], np.array(values, dtype=np.int64),
+            np.array(times, dtype=np.float64))
+
+
+def _per_line(chunk: bytes, path: pathlib.Path, line_no: int,
+              n: Optional[int], skip: int) -> Generator[_Columns, None, int]:
+    """A chunk's lines through :func:`decode_jsonl`, the reference.
+
+    Lines split as text mode splits them (LF, CR LF and a lone CR), an
+    undecodable byte is a :class:`TraceError` naming ``path:line``, and
+    the first ``skip`` non-blank lines are passed over.  The rows
+    before a failing line are yielded before its error is raised.
+    Returns the ``skip`` left over.
+    """
+    rows: List[_Row] = []
+    try:
+        for piece in chunk.splitlines():
+            line_no += 1
+            try:
+                line = piece.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"{path}:{line_no}: invalid UTF-8: {exc}") from None
+            if not line:
+                continue
+            if skip:
+                skip -= 1
+                continue
+            rating = decode_jsonl(line, n=n, where=f"{path}:{line_no}")
+            rows.append((rating.rater, rating.target, rating.value, rating.time))
+    except TraceError:
+        if rows:
+            yield _stack(rows)
+        raise
+    if rows:
+        yield _stack(rows)
+    return skip
+
+
+def _read_columns(path: pathlib.Path, n: Optional[int],
+                  skip: int) -> Iterator[_Columns]:
+    """Stream the accepted rows of a JSONL file as column chunks,
+    skipping the first ``skip`` non-blank lines.
+
+    The file is read in chunks of whole lines.  A chunk whose lines all
+    pass :func:`_columns` costs one ``json.loads``; any other chunk goes
+    line by line through :func:`_per_line`, so its rows and its first
+    error are the reference's, with ``path:line``.
+    """
     line_no = 0
-    seen = 0
     with path.open("rb") as handle:
-        for raw in handle:
-            # A binary line ends at \n only; text mode also ends one at
-            # a lone \r, and never at a \r inside a UTF-8 sequence.
-            for piece in raw.splitlines() if b"\r" in raw else (raw,):
-                line_no += 1
-                try:
-                    line = piece.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise TraceError(
-                        f"{path}:{line_no}: invalid UTF-8: {exc}") from None
-                if not line:
-                    continue
-                seen += 1
-                if seen <= skip:
-                    continue
-                try:
-                    record, end = _raw_decode(line)
-                except (ValueError, RecursionError):
-                    record, end = None, -1
-                if end == len(line) and type(record) is dict:
-                    rater = record.get("rater")
-                    target = record.get("target")
-                    value = record.get("value")
-                    time = record.get("time", 0.0)
-                    if (type(rater) is int and type(target) is int
-                            and type(value) is int and type(time) is float
-                            and isfinite(time) and -1 <= value <= 1
-                            and rater != target and rater >= 0 and target >= 0
-                            and (n is None or (rater < n and target < n))):
-                        yield rater, target, value, time
-                        continue
-                rating = decode_jsonl(line, n=n, where=f"{path}:{line_no}")
-                yield rating.rater, rating.target, rating.value, rating.time
+        for chunk in _byte_chunks(handle):
+            lines = _chunk_lines(chunk)
+            if lines is not None and skip >= len(lines):
+                skip -= len(lines)
+            else:
+                columns = None if lines is None else _columns(lines[skip:], n)
+                if columns is not None:
+                    skip = 0
+                    yield columns
+                else:
+                    skip = yield from _per_line(chunk, path, line_no, n, skip)
+            line_no += (len(chunk.splitlines()) if b"\r" in chunk
+                        else chunk.count(b"\n"))
 
 
 def iter_jsonl(path: PathLike, n: Optional[int] = None,
@@ -369,31 +508,44 @@ def iter_jsonl(path: PathLike, n: Optional[int] = None,
     Blank lines are ignored, so a file truncated exactly at a line
     boundary (the only state an append-only writer can leave behind
     short of a torn final line) streams cleanly.
+
+    The file is read in chunks of whole lines of about 256 KiB, each
+    parsed with one ``json.loads`` and checked as numpy columns; a
+    chunk that fails any check is re-read line by line through
+    :func:`decode_jsonl`, so a bad line raises the reference's
+    :class:`~repro.errors.TraceError` with its ``path:line``, after the
+    events before it.
     """
     if skip < 0:
         raise TraceError(f"skip must be non-negative, got {skip}")
-    for rater, target, value, time in _read_rows(pathlib.Path(path), n, skip):
-        yield Rating(rater, target, value, time)
+    for columns in _read_columns(pathlib.Path(path), n, skip):
+        for rater, target, value, time in zip(*(c.tolist() for c in columns)):
+            yield Rating(rater, target, value, time)
 
 
 def load_jsonl(path: PathLike, n: Optional[int] = None) -> RatingLedger:
     """Load a whole JSONL event log into a :class:`RatingLedger`.
 
+    The file is read as :func:`iter_jsonl` reads it, in column chunks.
     Every line is validated first, then ``n`` (by default ``max id +
     1`` over the file) bounds the ids: the first event naming an id at
     or above it raises :class:`~repro.errors.UnknownNodeError`.  The
-    rows go into the ledger as four columns in one
+    chunks go into the ledger as four columns in one
     :meth:`~repro.ratings.ledger.RatingLedger.extend`.
     """
-    rows = list(_read_rows(pathlib.Path(path), None, 0))
-    columns: List[Tuple[Any, ...]] = list(zip(*rows)) or [(), (), (), ()]
-    raters, targets, values, times = columns
+    chunks = list(_read_columns(pathlib.Path(path), None, 0))
+    if chunks:
+        raters, targets, values, times = (np.concatenate(c) for c in zip(*chunks))
+    else:
+        raters = targets = values = np.zeros(0, dtype=np.int64)
+        times = np.zeros(0, dtype=np.float64)
+    top = max(int(raters.max(initial=0)), int(targets.max(initial=0)))
     if n is None:
-        n = 1 + max(max(raters, default=0), max(targets, default=0))
+        n = 1 + top
     ledger = RatingLedger(n)
-    if raters and max(max(raters), max(targets)) >= n:
-        for rater, target in zip(raters, targets):
-            if rater >= n or target >= n:
-                raise UnknownNodeError(rater if rater >= n else target, n)
+    if top >= n:
+        first = int(np.argmax((raters >= n) | (targets >= n)))
+        rater, target = int(raters[first]), int(targets[first])
+        raise UnknownNodeError(rater if rater >= n else target, n)
     ledger.extend(raters, targets, values, times)
     return ledger

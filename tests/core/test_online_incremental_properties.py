@@ -112,46 +112,46 @@ class TestInterleavedEquivalence:
     def test_reports_byte_identical_to_batch(self, ops):
         online = OnlineCollusionDetector(N, THRESHOLDS)
         window = []  # events since the last period close
-        tmp = tempfile.mkdtemp()
-        for op in ops:
-            if op[0] == "observe":
-                _, rater, target, value = op
-                if rater == target:
-                    continue
-                online.observe(rater, target, value)
-                window.append((rater, target, value))
-            elif op[0] == "burst":
-                _, a, b, count = op
-                for _ in range(count):
-                    online.observe(a, b, 1)
-                    online.observe(b, a, 1)
-                    window.extend([(a, b, 1), (b, a, 1)])
-            elif op[0] == "roundtrip":
-                # export -> JSON wire -> restore into a fresh detector
-                state = json.loads(json.dumps(online.export_state()))
-                fresh = OnlineCollusionDetector(N, THRESHOLDS)
-                fresh.restore_state(state)
-                online = fresh
-            elif op[0] == "image":
-                # export_arrays -> image file -> mmap -> restore_arrays:
-                # the exact path a restarted mmap-mode shard worker takes
-                arrays = online.export_arrays()
-                path = os.path.join(tmp, "state.repm")
-                write_image(path, arrays,
-                            {"events": online.events_this_period})
-                mapped, meta, mapping = map_image(path)
-                fresh = OnlineCollusionDetector(N, THRESHOLDS)
-                fresh.restore_arrays(mapped, int(meta["events"]))
-                del mapped
-                mapping.close()
-                online = fresh
-            elif op[0] == "peek":
-                self._check_full_screen(online)
-                self._check(online.end_period(reset=False), window)
-            elif op[0] == "end_period":
-                self._check_full_screen(online)
-                self._check(online.end_period(), window)
-                window = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for op in ops:
+                if op[0] == "observe":
+                    _, rater, target, value = op
+                    if rater == target:
+                        continue
+                    online.observe(rater, target, value)
+                    window.append((rater, target, value))
+                elif op[0] == "burst":
+                    _, a, b, count = op
+                    for _ in range(count):
+                        online.observe(a, b, 1)
+                        online.observe(b, a, 1)
+                        window.extend([(a, b, 1), (b, a, 1)])
+                elif op[0] == "roundtrip":
+                    # export -> JSON wire -> restore into a fresh detector
+                    state = json.loads(json.dumps(online.export_state()))
+                    fresh = OnlineCollusionDetector(N, THRESHOLDS)
+                    fresh.restore_state(state)
+                    online = fresh
+                elif op[0] == "image":
+                    # export_arrays -> image file -> mmap -> restore_arrays:
+                    # the exact path a restarted mmap-mode shard worker takes
+                    arrays = online.export_arrays()
+                    path = os.path.join(tmp, "state.repm")
+                    write_image(path, arrays,
+                                {"events": online.events_this_period})
+                    mapped, meta, mapping = map_image(path)
+                    fresh = OnlineCollusionDetector(N, THRESHOLDS)
+                    fresh.restore_arrays(mapped, int(meta["events"]))
+                    del mapped
+                    mapping.close()
+                    online = fresh
+                elif op[0] == "peek":
+                    self._check_full_screen(online)
+                    self._check(online.end_period(reset=False), window)
+                elif op[0] == "end_period":
+                    self._check_full_screen(online)
+                    self._check(online.end_period(), window)
+                    window = []
 
     def _check_full_screen(self, online):
         # Copies, so the detector under test keeps its incremental

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.ratings import io as ratings_io
 from repro.ratings.events import Rating
 from repro.ratings.io import (
     append_jsonl,
@@ -91,6 +92,21 @@ class TestCsvRoundtrip:
         with pytest.raises(Exception):  # self-rating via ledger validation
             load_csv(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"rater,target,value,time,n=5\n0,1,1,0.5\n\n1,2,1,{time}\n")
+        with pytest.raises(TraceError, match="time must be finite") as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}:4: ")
+
+    def test_malformed_universe_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("rater,target,value,time,n=abc\n1,2,1,0.0\n")
+        with pytest.raises(TraceError, match="n=abc") as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}:1: ")
+
 
 class TestNpzRoundtrip:
     def test_roundtrip_exact(self, ledger, tmp_path):
@@ -118,6 +134,16 @@ class TestNpzRoundtrip:
         np.savez(path, n=np.int64(5), raters=np.array([0]))
         with pytest.raises(TraceError, match="missing"):
             load_npz(path)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        path = tmp_path / "bad.npz"
+        np.savez(path, n=np.int64(5), raters=np.array([0, 1]),
+                 targets=np.array([1, 2]), values=np.array([1, -1]),
+                 times=np.array([0.5, time]))
+        with pytest.raises(TraceError, match="time must be finite") as exc:
+            load_npz(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_csv_and_npz_agree(self, ledger, tmp_path):
         csv_path = tmp_path / "t.csv"
@@ -208,6 +234,18 @@ class TestJsonl:
         with pytest.raises(TraceError, match="invalid UTF-8") as exc:
             next(events)
         assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_written_lines_take_the_columnar_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        append_jsonl(path, self.events())
+        with path.open("a") as handle:
+            handle.write('\n{"rater": 3, "target": 4, "value": 1}\r\n')
+
+        def per_line(*args, **kwargs):
+            raise AssertionError("a written line went line by line")
+        monkeypatch.setattr(ratings_io, "decode_jsonl", per_line)
+        assert list(iter_jsonl(path)) == self.events() + [Rating(3, 4, 1)]
+        assert len(load_jsonl(path)) == 4
 
     def test_load_jsonl_builds_ledger(self, tmp_path):
         path = tmp_path / "t.jsonl"

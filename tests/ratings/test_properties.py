@@ -1,10 +1,13 @@
 """Property-based tests on the rating substrate (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.ratings import io as ratings_io
 from repro.ratings.io import decode_jsonl, iter_jsonl, load_jsonl
 from repro.ratings.ledger import RatingLedger
 from repro.ratings.matrix import RatingMatrix
@@ -100,7 +103,7 @@ class TestLedgerMatrixConsistency:
 
 
 # ----------------------------------------------------------------------
-# JSONL reader: the line reader equals the per-line reference
+# JSONL reader: the chunked columnar reader equals the per-line reference
 # ----------------------------------------------------------------------
 def reference_iter(path, n=None, skip=0):
     """Text-mode lines through ``decode_jsonl``: the per-line reference."""
@@ -211,6 +214,20 @@ _ODD_LINE = st.one_of(
     st.tuples(rating_line(), rating_line()).map("".join),
     rating_line().map("\ufeff".__add__),
 )
+# Lines the reference refuses or reads alone, but that one JSON array of
+# the joined lines would read as one record, or as records off by a line:
+# a record split over two lines, a ``}`` or ``{`` inside a string that
+# closes on the next line, and a ``[`` inside a string.
+_JOINABLE = st.sampled_from([
+    ('{"rater": 1, "target": 2, "x": 0', '"value": 1}'),
+    ('{"rater": 1, "target": 2, "value": 1, "x": "}', '{", "y": 0}'),
+    ('{"rater": 1, "target": 2, "value": 1, "}', '{": 0}'),
+    ('{"rater": 1, "x": "{', '", "target": 2, "value": 1}'),
+    ('{"rater": 1, "target": 2, "value": 1, "x": [', '0]}'),
+    ('{"rater": 1, "target": 2, "value": 1, "x": "[', ']"}'),
+    ('{"rater": 1, "target": 2, "value": 1, "x": "["}',),
+    ('{"rater": 1, "target": 2, "value": 1, "x": "}"}',),
+])
 _BLANK = st.sampled_from(["", "  ", "\t", "\x1c", "\u3000"])
 _END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
@@ -218,11 +235,15 @@ _END = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 @st.composite
 def jsonl_file(draw):
     """Rating and blank lines with mixed line ends, at most two odd lines
-    among them, and maybe no final line end."""
+    and maybe one joinable pair among them, and maybe no final line
+    end."""
     lines = draw(st.lists(st.one_of(rating_line(), rating_line(), _BLANK),
                           max_size=12))
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    if not draw(st.integers(0, 2)):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_JOINABLE)
     text = "".join(line + draw(_END) for line in lines)
     if lines and draw(st.booleans()):
         text = text.rstrip("\r\n")
@@ -256,3 +277,16 @@ class TestJsonlReader:
         path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
         path.write_bytes(line.encode("utf-8") + b"\n")
         assert_reads_equal(path, n, 0)
+
+    @given(jsonl_file(), st.one_of(st.none(), st.integers(1, 12)),
+           st.integers(0, 12), st.integers(1, 160))
+    @settings(max_examples=300, deadline=None)
+    def test_small_chunks_read_as_the_reference(self, tmp_path_factory,
+                                                data, n, skip, chunk_bytes):
+        """Chunks of a few bytes: lines straddle chunk ends, an error in
+        a later chunk keeps its ``path:line``, and ``skip`` runs over
+        chunk ends."""
+        path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
+        path.write_bytes(data)
+        with mock.patch.object(ratings_io, "_CHUNK_BYTES", chunk_bytes):
+            assert_reads_equal(path, n, skip)
