@@ -13,7 +13,7 @@ Usage
     (``--workers N`` runs N shard worker processes instead of
     threads).
 ``python -m repro replay --data-dir ./svc --verify``
-    Recover service state offline from snapshot + WAL and audit it.
+    Recover service state offline from state images + WAL and audit it.
 ``python -m repro rings --data-dir ./svc --edge-floor 0.5``
     Recover a served state offline and mine the suspect graph for
     collusion rings (live instances serve ``GET /collusion-graph``).
@@ -235,7 +235,6 @@ def _service_config(args: argparse.Namespace):
         fsync=args.fsync,
         host=getattr(args, "host", "127.0.0.1"),
         port=getattr(args, "port", 8642),
-        matrix_backend=getattr(args, "matrix_backend", None),
     )
 
 
@@ -244,7 +243,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         help="universe size (node ids 0..n-1)")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--data-dir", default=None,
-                        help="WAL + snapshot directory (omit: ephemeral)")
+                        help="WAL + state image directory (omit: ephemeral)")
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--snapshot-every", type=int, default=0,
                         help="mid-epoch snapshot cadence in events (0: off)")
@@ -254,11 +253,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-a", type=float, default=0.9)
     parser.add_argument("--t-b", type=float, default=0.7)
     parser.add_argument("--t-n", type=int, default=20)
-    parser.add_argument("--matrix-backend", choices=["mmap"],
-                        default=None, dest="matrix_backend",
-                        help="'mmap' switches durable shard workers to "
-                             "binary state images mapped back in O(1) on "
-                             "restart (default: JSON snapshots)")
 
 
 def _build_service(args: argparse.Namespace):
@@ -615,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser(
         "replay",
-        help="recover service state offline from snapshot + WAL",
+        help="recover service state offline from state images + WAL",
     )
     _add_service_options(p_replay)
     p_replay.add_argument("--verify", action="store_true",

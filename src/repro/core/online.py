@@ -530,7 +530,7 @@ class OnlineCollusionDetector:
         """Period state as a JSON-serializable dict (deterministic order).
 
         The hot set is not exported — it is a pure function of the pair
-        frequencies and ``t_n``, and :meth:`restore_state` rebuilds it
+        frequencies and ``t_n``, and :meth:`restore_arrays` rebuilds it
         (as it does every derived incremental-screen structure).
         """
         return {
@@ -541,25 +541,6 @@ class OnlineCollusionDetector:
             "node_eff": [int(v) for v in self._node_eff],
             "node_pos": [int(v) for v in self._node_pos],
         }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Replace period state with a prior :meth:`export_state` dict."""
-        if int(cast(int, state["n"])) != self.n:
-            raise DetectionError(
-                f"state is for universe n={state['n']}, detector has n={self.n}"
-            )
-        node_eff = np.asarray(cast(List[int], state["node_eff"]), dtype=np.int64)
-        node_pos = np.asarray(cast(List[int], state["node_pos"]), dtype=np.int64)
-        if node_eff.shape != (self.n,) or node_pos.shape != (self.n,):
-            raise DetectionError("node counter arrays have wrong shape")
-        pair_eff = cast(List[List[int]], state["pair_eff"])
-        pair_pos = cast(List[List[int]], state["pair_pos"])
-        self._pair_eff = {(int(t), int(r)): int(c) for t, r, c in pair_eff}
-        self._pair_pos = {(int(t), int(r)): int(c) for t, r, c in pair_pos}
-        self._node_eff = node_eff
-        self._node_pos = node_pos
-        self._events = int(cast(int, state["events"]))
-        self._rebuild_hot_indexes()
 
     def export_arrays(self) -> Dict[str, IntArray]:
         """Period state as dense int64 arrays (the mmap-image payload).
@@ -598,7 +579,9 @@ class OnlineCollusionDetector:
         node_eff = np.asarray(arrays["node_eff"], dtype=np.int64)
         node_pos = np.asarray(arrays["node_pos"], dtype=np.int64)
         if node_eff.shape != (self.n,) or node_pos.shape != (self.n,):
-            raise DetectionError("node counter arrays have wrong shape")
+            raise DetectionError(
+                f"node counter arrays have shape {node_eff.shape}/"
+                f"{node_pos.shape}, detector has universe n={self.n}")
         targets = arrays["pair_target"].tolist()
         raters = arrays["pair_rater"].tolist()
         effs = arrays["pair_eff"].tolist()

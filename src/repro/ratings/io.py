@@ -34,6 +34,7 @@ of poisoning an analysis.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import pathlib
@@ -523,17 +524,32 @@ def iter_jsonl(path: PathLike, n: Optional[int] = None,
             yield Rating(rater, target, value, time)
 
 
+#: Largest node id the ledger's ``int64`` columns hold.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _nonblank_line_no(path: pathlib.Path, index: int) -> int:
+    """The text-mode line number of the ``index``-th (0-based) non-blank
+    line: where the ``index``-th event of a fully validated file is."""
+    with path.open(encoding="utf-8") as handle:
+        lines = (no for no, line in enumerate(handle, start=1) if line.strip())
+        return next(itertools.islice(lines, index, None))
+
+
 def load_jsonl(path: PathLike, n: Optional[int] = None) -> RatingLedger:
     """Load a whole JSONL event log into a :class:`RatingLedger`.
 
     The file is read as :func:`iter_jsonl` reads it, in column chunks.
     Every line is validated first, then ``n`` (by default ``max id +
     1`` over the file) bounds the ids: the first event naming an id at
-    or above it raises :class:`~repro.errors.UnknownNodeError`.  The
+    or above it raises :class:`~repro.errors.UnknownNodeError`.  With
+    no ``n``, an id past ``int64`` raises a
+    :class:`~repro.errors.TraceError` naming its ``path:line``.  The
     chunks go into the ledger as four columns in one
     :meth:`~repro.ratings.ledger.RatingLedger.extend`.
     """
-    chunks = list(_read_columns(pathlib.Path(path), None, 0))
+    path = pathlib.Path(path)
+    chunks = list(_read_columns(path, None, 0))
     if chunks:
         raters, targets, values, times = (np.concatenate(c) for c in zip(*chunks))
     else:
@@ -541,6 +557,13 @@ def load_jsonl(path: PathLike, n: Optional[int] = None) -> RatingLedger:
         times = np.zeros(0, dtype=np.float64)
     top = max(int(raters.max(initial=0)), int(targets.max(initial=0)))
     if n is None:
+        if top > _INT64_MAX:
+            first = int(np.argmax((raters > _INT64_MAX) | (targets > _INT64_MAX)))
+            rater, target = int(raters[first]), int(targets[first])
+            raise TraceError(
+                f"{path}:{_nonblank_line_no(path, first)}: node id "
+                f"{rater if rater > _INT64_MAX else target} does not fit "
+                f"the ledger's int64 columns")
         n = 1 + top
     ledger = RatingLedger(n)
     if top >= n:

@@ -124,17 +124,6 @@ class SummationState:
             "neg": [int(v) for v in self._neg],
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, List[int]]) -> "SummationState":
-        out = cls(int(state["n"]))
-        pos = np.asarray(state["pos"], dtype=np.int64)
-        neg = np.asarray(state["neg"], dtype=np.int64)
-        if pos.shape != (out.n,) or neg.shape != (out.n,):
-            raise RatingError("summation state arrays have wrong shape")
-        out._pos[:] = pos
-        out._neg[:] = neg
-        return out
-
     def export_arrays(self) -> Dict[str, npt.NDArray[np.int64]]:
         """The totals as ``int64`` arrays — the binary-image counterpart
         of :meth:`export_state` (see ``service/snapshot.py``)."""

@@ -40,20 +40,22 @@ class ServiceConfig:
         (:class:`~repro.errors.BackpressureError`) — never a silent drop.
     data_dir:
         Directory for ``meta.json`` and the per-shard ``shard-NN/``
-        WALs and snapshots.  ``None`` runs the service
+        WALs and binary state images (``shard-NN/images/*.repm``,
+        mapped back on restart).  ``None`` runs the service
         ephemeral (no durability) — useful for benchmarks and tests of
         the pure ingest path.
     snapshot_every:
         Mid-epoch snapshot cadence in accepted events; ``0`` snapshots
         only at epoch boundaries.  Smaller values shorten the WAL tail
-        replayed after a crash at the cost of more snapshot writes.
+        replayed after a crash at the cost of more image writes.
     fsync:
         When true, every WAL append is fsync'd before the batch is
         acknowledged (durable against power loss, not just process
         crash).  Defaults off: the equivalence guarantees only need
         write ordering, and fsync dominates ingest latency.
     keep_snapshots:
-        How many snapshot files to retain (older ones are pruned).
+        How many state images per shard to retain (older ones are
+        pruned).
     worker_timeout_s:
         How long the coordinator waits for a shard — thread or process
         — to answer a command or acknowledge a durable batch before
@@ -63,12 +65,6 @@ class ServiceConfig:
     host / port:
         Bind address for the HTTP query API (``port=0`` lets the OS
         pick a free port — tests rely on this).
-    matrix_backend:
-        ``None`` (JSON shard snapshots) or ``"mmap"``, which switches
-        durable shards to binary state images
-        (``shard-NN/images/*.repm``) that restarts map back in O(1)
-        instead of parsing a JSON snapshot.  The rating matrix itself
-        is always compressed rows; any other value is rejected.
     """
 
     n: int
@@ -83,7 +79,6 @@ class ServiceConfig:
     worker_timeout_s: float = 60.0
     host: str = "127.0.0.1"
     port: int = 8642
-    matrix_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -115,12 +110,6 @@ class ServiceConfig:
             )
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
-        if self.matrix_backend not in (None, "mmap"):
-            raise ConfigurationError(
-                "matrix_backend must be one of [None, 'mmap'], "
-                f"got {self.matrix_backend!r}: the rating matrix is always "
-                "CSR rows, and 'mmap' only turns on shard state images"
-            )
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", pathlib.Path(self.data_dir))
 

@@ -117,8 +117,8 @@ class ServiceMetrics:
 
     Histograms: ``ingest`` (per accepted batch, WAL + enqueue),
     ``end_period`` (full orchestration: drain, merge, snapshot) and
-    ``worker_restart`` (process-mode worker recovery, the number the
-    mmap state images shrink).
+    ``worker_restart`` (a shard's recovery: map its latest state image,
+    replay the WAL tail, catch up to the committed epoch).
     """
 
     def __init__(self) -> None:

@@ -7,13 +7,12 @@ synchronization; only the period boundary (the global reputation gate
 and the symmetric-pair join) needs the coordinator.
 
 :class:`ShardState` is everything one shard owns: the detector, the
-cumulative reputation, and — in durable mode — its own WAL, snapshots
-and (``matrix_backend="mmap"``) state images under
-``data_dir/shard-NN/``.  It recovers itself (latest snapshot or image,
-the current epoch's WAL tail through the same :meth:`ShardState.fold`
-as live ingest, then catch-up to the coordinator's committed epoch) and
-answers a fixed vocabulary of named commands
-(:meth:`ShardState.dispatch`).  Both transports run it unchanged:
+cumulative reputation, and — in durable mode — its own WAL and state
+images under ``data_dir/shard-NN/``.  It recovers itself (map the
+latest image, replay the current epoch's WAL tail through the same
+:meth:`ShardState.fold` as live ingest, then catch up to the
+coordinator's committed epoch) and answers a fixed vocabulary of named
+commands (:meth:`ShardState.dispatch`).  Both transports run it unchanged:
 :class:`ShardWorker` on a thread here,
 :class:`~repro.service.worker.ProcessShardWorker` in a child process.
 
@@ -30,7 +29,7 @@ import pathlib
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from repro.errors import (
 from repro.ratings.events import Rating
 from repro.reputation.summation import SummationState
 from repro.service.config import ServiceConfig
-from repro.service.snapshot import (SnapshotStore, StateImageStore,
-                                    persisted_int)
+from repro.service.snapshot import StateImageStore, persisted_int
 from repro.service.wal import WriteAheadLog
 
 __all__ = ["ShardState", "ShardWorker", "shard_data_dir"]
@@ -107,29 +105,20 @@ class ShardState:
         self.replayed = 0
         self.restart_ms = 0.0
         self.wal: Optional[WriteAheadLog] = None
-        self.snapshots: Optional[SnapshotStore] = None
         self.images: Optional[StateImageStore] = None
         if config.data_dir is not None:
             base = shard_data_dir(pathlib.Path(config.data_dir), shard_id)
             self.wal = WriteAheadLog(base / "wal", fsync=config.fsync)
-            self.snapshots = SnapshotStore(
-                base / "snapshots", keep=config.keep_snapshots
+            self.images = StateImageStore(
+                base / "images", keep=config.keep_snapshots
             )
-            if config.matrix_backend == "mmap":
-                # mmap mode swaps the JSON state document for a binary
-                # image: snapshots publish int64 segments, recovery maps
-                # them back without parsing (see StateImageStore).
-                self.images = StateImageStore(
-                    base / "images", keep=config.keep_snapshots
-                )
 
     # -- recovery ------------------------------------------------------
     def recover(self, meta_epoch: int) -> Dict[str, object]:
-        """Snapshot + WAL-tail recovery, then catch up to ``meta_epoch``.
+        """Image + WAL-tail recovery, then catch up to ``meta_epoch``.
 
         Returns the ready status.  The wall-clock cost of the whole
-        sequence is recorded as ``restart_ms`` — the number state images
-        (``matrix_backend="mmap"``) exist to shrink.
+        sequence is recorded as ``restart_ms``.
         """
         started = time.perf_counter()
         try:
@@ -142,6 +131,16 @@ class ShardState:
         assert self.images is not None
         image = self.images.load_latest()
         if image is None:
+            # Keyed on snapshot files, not on the directory: an empty
+            # snapshots/ next to a shard is harmless.
+            legacy = self.images.directory.parent / "snapshots"
+            if any(legacy.glob("snapshot-*.json")):
+                raise RecoveryError(
+                    f"{legacy} holds retired JSON shard snapshots and no "
+                    f"state image; this build reads only REPM images — "
+                    f"start the previous build once with --matrix-backend "
+                    f"mmap and stop it gracefully to publish images"
+                )
             return False
         arrays, meta, mapping = image
         check_compat(meta, self.config, f"shard {self.shard_id} image")
@@ -167,27 +166,14 @@ class ShardState:
         return True
 
     def _recover(self, meta_epoch: int) -> None:
-        if self.wal is None or self.snapshots is None:
+        if self.wal is None or self.images is None:
             # Nothing durable to recover: an ephemeral (re)start joins
             # the coordinator's current epoch with empty counters.
             self.epoch = meta_epoch
             return
-        # Is the newest persisted state (in the configured engine)
-        # already this shard's position?  Then a clean restart need
-        # not rewrite it.
-        current = self.images is not None and self._restore_image()
-        if not current:
-            # JSON path: either the configured mode, or the migration
-            # fallback when mmap mode starts over a JSON-era data dir.
-            state = self.snapshots.load_latest()
-            if state is not None:
-                check_compat(state, self.config,
-                             f"shard {self.shard_id} snapshot")
-                self.epoch = persisted_int(state, "epoch")
-                self.epoch_events = persisted_int(state, "wal_applied")
-                self.total_events = persisted_int(state, "total_events")
-                self.restore_state(cast(Dict[str, object], state["shard"]))
-                current = self.images is None
+        # Is the newest image already this shard's position?  Then a
+        # clean restart need not rewrite it.
+        current = self._restore_image()
         # Replay the current epoch's WAL tail through the live fold —
         # the same code path as ingestion, which is what makes recovery
         # provably equivalent.
@@ -262,17 +248,6 @@ class ShardState:
             "cumulative": self.cumulative.export_state(),
         }
 
-    def restore_state(self, state: Dict[str, object]) -> None:
-        if state.get("shard_id") != self.shard_id:
-            raise RecoveryError(
-                f"snapshot shard id {state.get('shard_id')!r} != shard "
-                f"{self.shard_id}"
-            )
-        self.detector.restore_state(cast(Dict[str, object], state["detector"]))
-        self.cumulative = SummationState.from_state(
-            cast(Dict[str, List[int]], state["cumulative"])
-        )
-
     def wal_events(self) -> List[Rating]:
         """The open epoch's events, re-read from this shard's WAL."""
         if self.wal is None:
@@ -303,25 +278,22 @@ class ShardState:
         return self.status()
 
     def snapshot(self) -> None:
-        if self.snapshots is None:
+        """Publish the shard's state as an image at its WAL position."""
+        if self.images is None:
             raise ServiceError("snapshots need a data_dir (durable mode)")
-        position: Dict[str, object] = {
+        arrays = self.detector.export_arrays()
+        cumulative = self.cumulative.export_arrays()
+        arrays["cum_pos"] = cumulative["pos"]
+        arrays["cum_neg"] = cumulative["neg"]
+        self.images.save(arrays, {
             "epoch": self.epoch,
             "wal_applied": self.epoch_events,
             "total_events": self.total_events,
             "n": self.config.n,
             "num_shards": self.config.num_shards,
             "thresholds": thresholds_signature(self.config),
-        }
-        if self.images is None:
-            self.snapshots.save({**position, "shard": self.export_state()})
-            return
-        arrays = self.detector.export_arrays()
-        cumulative = self.cumulative.export_arrays()
-        arrays["cum_pos"] = cumulative["pos"]
-        arrays["cum_neg"] = cumulative["neg"]
-        self.images.save(arrays, {
-            **position, "kind": "shard-state", "shard_id": self.shard_id,
+            "kind": "shard-state",
+            "shard_id": self.shard_id,
             "events": self.detector.events_this_period,
         })
 

@@ -1,21 +1,25 @@
-"""Atomic JSON snapshots of the service's sharded state.
+"""Durable state files of the service: shard images and JSON documents.
 
-A shard snapshot captures, at a consistent point (the shard's queue
-drained): the epoch number, how many of the current epoch's WAL events
-are already folded into the shard counters (``wal_applied``), and the
-shard's detector + cumulative-reputation state.  Restart = load latest
-snapshot, then replay the WAL tail ``[wal_applied, ...)`` — provably
-reaching the same counters and verdicts as an uninterrupted run
-(property-tested).  The coordinator's ``meta.json`` (epoch, published
-reputations, latest verdicts) is the epoch commit point.
-
-Files are written to a temporary name and atomically renamed, so a
-crash mid-write can never leave a torn snapshot as the latest one.
-
-Durable shards under ``matrix_backend="mmap"`` write binary state
-images instead (:class:`StateImageStore`): the ``REPM`` container of
+A shard persists its state as a binary state image
+(:class:`StateImageStore`): the ``REPM`` container of
 :func:`write_image` / :func:`map_image`, which this module alone reads
-and writes.
+and writes.  An image captures, at a consistent point (the shard's
+queue drained): the epoch number, how many of the current epoch's WAL
+events are already folded into the shard counters (``wal_applied``),
+and the detector's pair/node counters plus the cumulative reputation
+as raw ``int64`` segments.  Restart = map the latest image, then
+replay the WAL tail ``[wal_applied, ...)`` — provably reaching the same
+counters and verdicts as an uninterrupted run (property-tested).
+
+The coordinator's ``meta.json`` (epoch, published reputations, latest
+verdicts) is the epoch commit point, written by :func:`write_json` and
+read back by :func:`read_json`.  :class:`SnapshotStore` keeps
+position-named JSON documents in a directory; no shard writes one
+(the benchmark harness times it).
+
+Every file is written to a temporary name, fsynced and atomically
+renamed, so a crash mid-write can never leave a torn file as the
+latest one.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ __all__ = ["SnapshotStore", "StateImageStore", "SNAPSHOT_FORMAT",
 #: Concrete array type of every image segment: int64 counts.
 IntArray = npt.NDArray[np.int64]
 
-#: Bumped whenever the snapshot layout changes incompatibly.
+#: Bumped whenever the :class:`SnapshotStore` layout changes
+#: incompatibly.
 SNAPSHOT_FORMAT = 1
 
 #: Bumped whenever the coordinator meta layout changes incompatibly
@@ -49,10 +54,15 @@ META_FORMAT = 1
 
 
 def write_json(path: pathlib.Path, payload: Dict[str, object]) -> None:
-    """Write ``payload`` via tmp + fsync + atomic rename."""
+    """Write ``payload`` via tmp + fsync + atomic rename.
+
+    One ``json.dumps`` call: unlike ``json.dump``, it runs the C
+    encoder.
+    """
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     tmp = path.with_suffix(".json.tmp")
     with tmp.open("w") as handle:
-        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -218,7 +228,7 @@ def _position(state: Dict[str, object]) -> Tuple[int, int]:
     wal_applied = state["wal_applied"]
     if not isinstance(epoch, int) or not isinstance(wal_applied, int):
         raise RecoveryError(
-            f"snapshot state needs integer epoch/wal_applied, got "
+            f"persisted state needs integer epoch/wal_applied, got "
             f"{epoch!r}/{wal_applied!r}"
         )
     return epoch, wal_applied
@@ -266,7 +276,8 @@ class _PositionStore:
 
 
 class SnapshotStore(_PositionStore):
-    """Writes, lists, prunes and loads snapshot files in one directory."""
+    """Writes, lists, prunes and loads JSON snapshot files in one
+    directory."""
 
     prefix = "snapshot"
     suffix = ".json"
@@ -291,15 +302,15 @@ class SnapshotStore(_PositionStore):
 
 
 class StateImageStore(_PositionStore):
-    """The binary twin of :class:`SnapshotStore` (``matrix_backend="mmap"``).
+    """A durable shard's state: one image per persisted position.
 
     One ``image-EEEEEEEE-WWWWWWWWWW.repm`` file per position: the
-    :func:`write_image` container (atomic tmp +
-    fsync + rename) of the detector's pair/node counters and the
-    cumulative reputation as raw ``int64`` segments.  Recovery maps the
-    latest image in O(1) (``mmap`` + ``np.frombuffer``) instead of
-    parsing and re-inserting state, so shard restarts do not grow with
-    accumulated state.
+    :func:`write_image` container (atomic tmp + fsync + rename) of the
+    detector's pair/node counters and the cumulative reputation as raw
+    ``int64`` segments.  Recovery maps the latest image
+    (``mmap`` + ``np.frombuffer``) instead of parsing a document.  A
+    ``.repm.tmp`` left by a crash before the rename never matches the
+    file pattern, so it is ignored.
     """
 
     prefix = "image"

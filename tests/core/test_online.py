@@ -229,7 +229,7 @@ class TestStateExport:
         feed(online, matrix)
         exported = online.export_state()
         clone = OnlineCollusionDetector(N, SMALL)
-        clone.restore_state(json.loads(json.dumps(exported)))
+        clone.restore_arrays(online.export_arrays(), online.events_this_period)
         assert (json.dumps(clone.export_state(), sort_keys=True)
                 == json.dumps(exported, sort_keys=True))
         assert (clone.end_period().pair_set()
@@ -240,24 +240,24 @@ class TestStateExport:
         online.observe(4, 5, 1, count=60)
         online.observe(5, 4, 1, count=60)
         clone = OnlineCollusionDetector(10, THRESHOLDS)
-        clone.restore_state(online.export_state())
+        clone.restore_arrays(online.export_arrays(), online.events_this_period)
         assert clone._hot == online._hot
 
     def test_restore_rejects_wrong_universe(self):
         online = OnlineCollusionDetector(10, THRESHOLDS)
         other = OnlineCollusionDetector(12, THRESHOLDS)
         with pytest.raises(DetectionError, match="universe"):
-            other.restore_state(online.export_state())
+            other.restore_arrays(online.export_arrays(), 0)
 
     def test_restore_rejects_wrong_shape(self):
         online = OnlineCollusionDetector(10, THRESHOLDS)
-        state = online.export_state()
-        state["node_eff"] = [0] * 9
+        arrays = online.export_arrays()
+        arrays["node_eff"] = arrays["node_eff"][:9]
         with pytest.raises(DetectionError, match="shape"):
-            OnlineCollusionDetector(10, THRESHOLDS).restore_state(state)
+            OnlineCollusionDetector(10, THRESHOLDS).restore_arrays(arrays, 0)
 
     def test_resume_after_restore_continues_the_stream(self):
-        """observe() after restore_state() behaves as if uninterrupted."""
+        """observe() after restore_arrays() behaves as if uninterrupted."""
         full = OnlineCollusionDetector(10, THRESHOLDS)
         cut = OnlineCollusionDetector(10, THRESHOLDS)
         stream = ([(4, 5, 1)] * 50 + [(5, 4, 1)] * 50
@@ -266,7 +266,7 @@ class TestStateExport:
             full.observe(rater, target, value)
             cut.observe(rater, target, value)
         resumed = OnlineCollusionDetector(10, THRESHOLDS)
-        resumed.restore_state(cut.export_state())
+        resumed.restore_arrays(cut.export_arrays(), cut.events_this_period)
         for rater, target, value in stream[40:]:
             full.observe(rater, target, value)
             resumed.observe(rater, target, value)

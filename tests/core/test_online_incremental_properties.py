@@ -1,8 +1,8 @@
 """Property suite for the pair-incremental streaming screen.
 
 Randomized interleavings of ``observe`` / ``end_period`` /
-``export_state``/``restore_state`` (and the binary
-``export_arrays``-image roundtrip) must produce ``DetectionReport``s
+the in-memory ``export_arrays``/``restore_arrays`` roundtrip (and the
+same roundtrip through a state image) must produce ``DetectionReport``s
 byte-identical to an :class:`OptimizedCollusionDetector` batch run over
 the same window.
 
@@ -18,7 +18,6 @@ only report-safe because both evaluate the identical IEEE expression.
 
 import copy
 import dataclasses
-import json
 import math
 import os
 import tempfile
@@ -127,14 +126,14 @@ class TestInterleavedEquivalence:
                         online.observe(b, a, 1)
                         window.extend([(a, b, 1), (b, a, 1)])
                 elif op[0] == "roundtrip":
-                    # export -> JSON wire -> restore into a fresh detector
-                    state = json.loads(json.dumps(online.export_state()))
+                    # export -> restore into a fresh detector, in memory
                     fresh = OnlineCollusionDetector(N, THRESHOLDS)
-                    fresh.restore_state(state)
+                    fresh.restore_arrays(online.export_arrays(),
+                                         online.events_this_period)
                     online = fresh
                 elif op[0] == "image":
                     # export_arrays -> image file -> mmap -> restore_arrays:
-                    # the exact path a restarted mmap-mode shard worker takes
+                    # the exact path a restarting durable shard takes
                     arrays = online.export_arrays()
                     path = os.path.join(tmp, "state.repm")
                     write_image(path, arrays,

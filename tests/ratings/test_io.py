@@ -1,5 +1,7 @@
 """Tests for ledger persistence (CSV / NPZ / JSONL)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,22 @@ class TestJsonlNumbers:
         with pytest.raises(TraceError, match=named) as exc:
             load_jsonl(path)
         assert str(exc.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize("field", ["rater", "target"])
+    @pytest.mark.parametrize("node", [2**63, 2**64 + 1])
+    def test_load_rejects_id_past_int64_with_line_number(self, tmp_path,
+                                                         field, node):
+        """With no ``n`` the universe is ``max id + 1``; an id the
+        ledger's int64 columns cannot hold is a TraceError at its line,
+        not a bare OverflowError."""
+        path = tmp_path / "t.jsonl"
+        record = {"rater": 3, "target": 4, "value": 1, field: node}
+        path.write_text('{"rater": 0, "target": 1, "value": 1}\n\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(TraceError, match=f"node id {node} ") as exc:
+            load_jsonl(path)
+        assert str(exc.value).startswith(f"{path}:3: ")
+        assert list(iter_jsonl(path))[-1] == Rating(**record)
 
     @pytest.mark.parametrize("raw, time", [
         ("2.5", 2.5), ("7", 7.0), ("-1e3", -1000.0),

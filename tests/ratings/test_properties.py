@@ -121,10 +121,24 @@ def reference_iter(path, n=None, skip=0):
             yield decode_jsonl(line, n=n, where=f"{path}:{line_no}")
 
 
+INT64_MAX = 2**63 - 1
+
+
 def reference_load(path, n=None):
-    """Every reference event, then one ``add_rating`` each."""
+    """Every reference event, then one ``add_rating`` each.  With no
+    ``n``, the first event naming an id past ``int64`` is a
+    ``TraceError`` at its line."""
     events = list(reference_iter(path))
     if n is None:
+        with path.open(encoding="utf-8") as handle:
+            numbered = [no for no, line in enumerate(handle, start=1)
+                        if line.strip()]
+        for line_no, event in zip(numbered, events):
+            if max(event.rater, event.target) > INT64_MAX:
+                node = (event.rater if event.rater > INT64_MAX
+                        else event.target)
+                raise TraceError(f"{path}:{line_no}: node id {node} does "
+                                 f"not fit the ledger's int64 columns")
         n = 1 + max((max(e.rater, e.target) for e in events), default=0)
     ledger = RatingLedger(n)
     for event in events:

@@ -90,11 +90,12 @@ class TestSummationState:
         with pytest.raises(RatingError):
             a.merge(SummationState(5))
 
-    def test_export_from_state_roundtrip(self):
+    def test_export_from_arrays_roundtrip(self):
         state = SummationState(4)
         state.observe(1, 1, count=9)
         state.observe(2, -1, count=4)
-        clone = SummationState.from_state(state.export_state())
+        arrays = state.export_arrays()
+        clone = SummationState.from_arrays(4, arrays["pos"], arrays["neg"])
         np.testing.assert_array_equal(clone.reputation(), state.reputation())
         assert clone.export_state() == state.export_state()
 

@@ -122,6 +122,26 @@ class TestReplayProcessMode:
         assert code == 2
         assert "retired single-WAL layout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    def test_matrix_backend_flag_is_gone(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data-dir", str(tmp_path / "svc"),
+                  "--matrix-backend", "mmap", *ARGS_40])
+        assert exc.value.code == 2
+        assert "--matrix-backend" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
+
+    def test_json_era_shard_is_refused(self, tmp_path, capsys):
+        """A shard holding only a JSON snapshot (builds before state
+        images) exits 2 with the migration, never opens empty."""
+        snapshots = tmp_path / "svc" / "shard-00" / "snapshots"
+        snapshots.mkdir(parents=True)
+        (snapshots / "snapshot-00000000-0000000000.json").write_text("{}")
+        code = main(["replay", "--data-dir", str(tmp_path / "svc"),
+                     *ARGS_40])
+        assert code == 2
+        assert "--matrix-backend mmap" in capsys.readouterr().err
+
     def test_thread_dir_reopens_under_workers(self, tmp_path,
                                               planted_events):
         """A dir written by ``serve --shards 2`` reopens under
@@ -134,8 +154,7 @@ class TestReplayProcessMode:
             return argparse.Namespace(
                 n=40, shards=shards, data_dir=str(tmp_path / "svc"),
                 queue_capacity=1024, snapshot_every=0, fsync=False,
-                t_r=1.0, t_a=0.9, t_b=0.7, t_n=40,
-                matrix_backend=None, workers=workers)
+                t_r=1.0, t_a=0.9, t_b=0.7, t_n=40, workers=workers)
 
         thread = _build_service(ns(shards=2, workers=0)).start()
         assert thread.status()["mode"] == "thread"

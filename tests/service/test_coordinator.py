@@ -316,7 +316,7 @@ class TestDurableBookkeeping:
         for i in range(25):
             service.submit_one(1 + (i % 5), 10 + (i % 7), 1)
         assert service.metrics.ops.get("snapshots") >= 2
-        assert list((tmp_path / "svc").glob("shard-*/snapshots/*.json"))
+        assert list((tmp_path / "svc").glob("shard-*/images/image-*.repm"))
         service.stop()
 
     def test_snapshot_requires_durable_mode(self, ephemeral_config):

@@ -449,7 +449,7 @@ class TestAdminEndpoints:
         status, doc, _ = request(f"{url}/admin/snapshot", payload={})
         assert status == 200
         assert doc["snapshotted"] is True
-        assert list(service.config.data_dir.glob("shard-*/snapshots/*.json"))
+        assert list(service.config.data_dir.glob("shard-*/images/image-*.repm"))
 
     def test_snapshot_ephemeral_409(self):
         service = DetectionService(ServiceConfig(

@@ -1,7 +1,7 @@
 """Crash/recovery tests, run on both shard transports.
 
-The durability contract under test: *load each shard's latest snapshot
-+ replay the current epoch's WAL tail* reproduces byte-identical
+The durability contract under test: *map each shard's latest state
+image + replay the current epoch's WAL tail* reproduces byte-identical
 per-pair/per-node counters and identical verdicts versus a run that was
 never interrupted — and both equal the batch detector on the full
 period matrix (the acceptance criterion of the service subsystem).
@@ -10,6 +10,7 @@ and the process coordinator share one layout and one commit protocol.
 """
 
 import pathlib
+import shutil
 import tempfile
 
 import pytest
@@ -21,7 +22,7 @@ from repro.core.thresholds import DetectionThresholds
 from repro.errors import RecoveryError
 from repro.ratings.events import Rating
 from repro.ratings.matrix import RatingMatrix
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, SnapshotStore
 
 from tests.service.conftest import (
     SERVICE_THRESHOLDS,
@@ -46,20 +47,20 @@ class TestCleanRestart:
         before = shard_states(service)
         events_before = service.epoch_events
         service.stop()  # snapshots by default
-        snapshot_files = {
+        image_files = {
             (path.name, path.stat().st_ino)
-            for path in (tmp_path / "svc").glob("shard-*/snapshots/*.json")
+            for path in (tmp_path / "svc").glob("shard-*/images/*.repm")
         }
 
         revived = service_cls(durable_config(tmp_path / "svc")).start()
         assert revived.metrics.ops.get("recovered_events") == 0
         assert revived.epoch_events == events_before
         assert shard_states(revived) == before
-        # nothing replayed, so the restart rewrote no snapshot
+        # nothing replayed, so the restart rewrote no image
         assert {
             (path.name, path.stat().st_ino)
-            for path in (tmp_path / "svc").glob("shard-*/snapshots/*.json")
-        } == snapshot_files
+            for path in (tmp_path / "svc").glob("shard-*/images/*.repm")
+        } == image_files
         revived.stop()
 
 
@@ -233,30 +234,30 @@ class TestWorkerDurability:
         for shard_id in range(config.num_shards):
             shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
             assert (shard_dir / "wal").is_dir()
-            assert (shard_dir / "snapshots").is_dir()
+            assert (shard_dir / "images").is_dir()
+            assert not (shard_dir / "snapshots").exists()
         assert (tmp_path / "svc" / "meta.json").is_file()
 
 
 class TestMmapDurability:
-    """``matrix_backend="mmap"``: shards snapshot binary state images
-    and map them back on restart instead of parsing JSON — recovery
-    must stay byte-identical to both the JSON mode and the batch
-    detector."""
+    """Durable shards snapshot binary state images (``images/*.repm``)
+    and map them back on restart — recovery must stay byte-identical
+    to the uninterrupted run and to the batch detector."""
 
     def test_workers_publish_images_not_json_snapshots(self, service_cls, tmp_path,
                                                        planted_events):
-        config = durable_config(tmp_path / "svc", matrix_backend="mmap")
+        config = durable_config(tmp_path / "svc")
         service = service_cls(config).start()
         submit_all(service, planted_events)
         service.stop()
         for shard_id in range(config.num_shards):
             shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
             assert list((shard_dir / "images").glob("image-*.repm"))
-            assert not list((shard_dir / "snapshots").glob("*.json"))
+            assert not (shard_dir / "snapshots").exists()
 
     def test_graceful_stop_restart_maps_image_and_replays_nothing(
             self, service_cls, tmp_path, planted_events):
-        config = durable_config(tmp_path / "svc", matrix_backend="mmap")
+        config = durable_config(tmp_path / "svc")
         service = service_cls(config).start()
         submit_all(service, planted_events)
         before = shard_states(service)
@@ -274,8 +275,7 @@ class TestMmapDurability:
             revived.stop()
 
     def test_kill_recovery_is_byte_identical(self, service_cls, tmp_path, planted_events):
-        config = durable_config(tmp_path / "svc", matrix_backend="mmap",
-                                snapshot_every=20)
+        config = durable_config(tmp_path / "svc", snapshot_every=20)
         service = service_cls(config).start()
         cut = len(planted_events) // 2
         submit_all(service, planted_events[:cut])
@@ -296,49 +296,87 @@ class TestMmapDurability:
             events_to_matrix(planted_events[cut:]))
         assert report.pair_set() == batch.pair_set()
 
-    def test_mmap_recovery_equals_json_recovery(self, service_cls, tmp_path,
-                                                planted_events):
-        """Same stream, same kill point: both modes recover to
-        identical shard states and verdicts."""
-        states, reports = [], []
-        for name, backend in (("json", None), ("mmap", "mmap")):
-            config = durable_config(tmp_path / name, matrix_backend=backend,
-                                    snapshot_every=25)
-            service = service_cls(config).start()
-            cut = (2 * len(planted_events)) // 3
-            submit_all(service, planted_events[:cut])
-            service.kill()
-            revived = service_cls(config).start()
-            try:
-                submit_all(revived, planted_events[cut:])
-                states.append(shard_states(revived))
-                reports.append(revived.end_period().report)
-            finally:
-                revived.stop()
-        assert states[0] == states[1]
-        assert reports[0].pair_set() == reports[1].pair_set()
-        assert reports[0].examined_nodes == reports[1].examined_nodes
 
-    def test_mmap_mode_reads_json_era_snapshots(self, service_cls, tmp_path,
+class TestImageRecovery:
+    """What recovery does with the files a crash or an older build can
+    leave next to (or instead of) the images."""
+
+    def test_json_era_snapshots_are_refused(self, service_cls, tmp_path,
+                                            planted_events):
+        """A shard whose only state is a JSON snapshot, as builds
+        before images wrote it, is refused with the migration —
+        never opened as an empty shard."""
+        config = durable_config(tmp_path / "svc")
+        service = service_cls(config).start()
+        submit_all(service, planted_events)
+        service.end_period()
+        service.stop()
+        for shard_dir in (tmp_path / "svc").glob("shard-*"):
+            shutil.rmtree(shard_dir / "images")
+            SnapshotStore(shard_dir / "snapshots").save(
+                {"epoch": 1, "wal_applied": 0, "shard": {}})
+
+        with pytest.raises(RecoveryError,
+                           match="retired JSON shard snapshots.*"
+                                 "--matrix-backend mmap"):
+            service_cls(config).start()
+        assert not list((tmp_path / "svc").glob("shard-*/images/*.repm"))
+
+    def test_empty_snapshots_dir_is_not_refused(self, service_cls, tmp_path,
                                                 planted_events):
-        """Migration: enabling mmap over an existing JSON data dir
-        falls back to the JSON snapshot for that first restart."""
-        json_config = durable_config(tmp_path / "svc")
-        service = service_cls(json_config).start()
+        config = durable_config(tmp_path / "svc")
+        service = service_cls(config).start()
         submit_all(service, planted_events)
         before = shard_states(service)
-        service.stop()
+        service.kill()
+        for shard_dir in (tmp_path / "svc").glob("shard-*"):
+            (shard_dir / "snapshots").mkdir()
 
-        mmap_config = durable_config(tmp_path / "svc", matrix_backend="mmap")
-        revived = service_cls(mmap_config).start()
+        revived = service_cls(config).start()
         try:
             assert shard_states(revived) == before
         finally:
             revived.stop()
-        # the stop-snapshot of the mmap run published images
-        for shard_id in range(mmap_config.num_shards):
-            shard_dir = tmp_path / "svc" / f"shard-{shard_id:02d}"
-            assert list((shard_dir / "images").glob("image-*.repm"))
+
+    def test_stale_image_tmp_is_ignored(self, service_cls, tmp_path,
+                                        planted_events):
+        """A crash between the fsync and the rename of an image leaves
+        its ``.repm.tmp``: recovery takes the previous image and the
+        WAL tail."""
+        config = durable_config(tmp_path / "svc")
+        service = service_cls(config).start()
+        cut = len(planted_events) // 2
+        submit_all(service, planted_events[:cut])
+        service.snapshot()
+        submit_all(service, planted_events[cut:])
+        before = shard_states(service)
+        service.kill()
+        for images in (tmp_path / "svc").glob("shard-*/images"):
+            latest = sorted(images.glob("image-*.repm"))[-1]
+            epoch, applied = latest.stem.split("-")[1:]
+            stale = images / f"image-{epoch}-{int(applied) + 1:010d}.repm.tmp"
+            stale.write_bytes(latest.read_bytes()[:-8])
+
+        revived = service_cls(config).start()
+        try:
+            assert (revived.metrics.ops.get("recovered_events")
+                    == len(planted_events) - cut)
+            assert shard_states(revived) == before
+        finally:
+            revived.stop()
+
+    def test_truncated_latest_image_is_refused(self, service_cls, tmp_path,
+                                               planted_events):
+        config = durable_config(tmp_path / "svc")
+        service = service_cls(config).start()
+        submit_all(service, planted_events)
+        service.stop()
+        latest = sorted(
+            (tmp_path / "svc" / "shard-01" / "images").glob("image-*.repm"))[-1]
+        latest.write_bytes(latest.read_bytes()[:-8])
+
+        with pytest.raises(RecoveryError, match="truncated"):
+            service_cls(config).start()
 
 
 class TestControlPlaneRecovery:

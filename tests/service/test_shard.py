@@ -1,11 +1,13 @@
 """Tests for the in-thread shard transport and the shard state it runs."""
 
 import json
+import shutil
 import threading
 
 import pytest
 
-from repro.errors import BackpressureError, ServiceError, WorkerCrashError
+from repro.errors import (BackpressureError, RecoveryError, ServiceError,
+                          WorkerCrashError)
 from repro.ratings.events import Rating
 from repro.service import ServiceConfig
 from repro.service.shard import ShardWorker
@@ -102,18 +104,40 @@ class TestWorkerFailure:
 
 
 class TestDurability:
-    def test_export_restore_roundtrip_is_byte_identical(self):
-        worker = make_worker()
-        worker.apply([Rating(1, 0, 1)] * 30 + [Rating(3, 0, -1)] * 5
-                     + [Rating(0, 2, 1)] * 12)
-        exported = worker.export_state()
-        clone = make_worker()
-        clone.state.restore_state(json.loads(json.dumps(exported)))
-        assert (json.dumps(clone.export_state(), sort_keys=True)
-                == json.dumps(exported, sort_keys=True))
+    """A durable shard's state survives as a state image alone."""
 
-    def test_restore_rejects_wrong_shard(self):
-        worker = make_worker(shard_id=0)
-        other = make_worker(shard_id=1)
-        with pytest.raises(ServiceError, match="shard id"):
-            other.state.restore_state(worker.export_state())
+    def durable_worker(self, data_dir, shard_id=0):
+        config = ServiceConfig(n=40, num_shards=2,
+                               thresholds=SERVICE_THRESHOLDS,
+                               data_dir=data_dir)
+        return ShardWorker(shard_id, config)
+
+    def snapshotted_worker(self, data_dir):
+        worker = self.durable_worker(data_dir)
+        worker.start()
+        worker.enqueue([Rating(1, 0, 1)] * 30 + [Rating(3, 0, -1)] * 5
+                       + [Rating(0, 2, 1)] * 12)
+        worker.call("snapshot")
+        return worker
+
+    def test_export_restore_roundtrip_is_byte_identical(self, tmp_path):
+        worker = self.snapshotted_worker(tmp_path)
+        exported = worker.call("export")
+        worker.stop()
+        clone = self.durable_worker(tmp_path)
+        try:
+            assert clone.start()["replayed"] == 0  # the image alone
+            assert (json.dumps(clone.export_state(), sort_keys=True)
+                    == json.dumps(exported, sort_keys=True))
+        finally:
+            clone.stop()
+
+    def test_restore_rejects_wrong_shard(self, tmp_path):
+        self.snapshotted_worker(tmp_path).stop()
+        shutil.copytree(tmp_path / "shard-00" / "images",
+                        tmp_path / "shard-01" / "images")
+        other = self.durable_worker(tmp_path, shard_id=1)
+        with pytest.raises(RecoveryError, match="image for shard 0"):
+            other.start()
+
+

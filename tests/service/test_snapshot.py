@@ -1,4 +1,4 @@
-"""Tests for the atomic snapshot store and the REPM state-image container."""
+"""Tests for the atomic JSON documents and the REPM state-image container."""
 
 import json
 
@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import RecoveryError, ServiceError
 from repro.service import SnapshotStore
-from repro.service.snapshot import IMAGE_FORMAT, map_image, write_image
+from repro.service.snapshot import (IMAGE_FORMAT, SNAPSHOT_FORMAT, map_image,
+                                    write_image, write_json)
 
 
 def state(epoch=0, wal_applied=0, **extra):
@@ -45,6 +46,23 @@ class TestSaveLoad:
         store.save(state(epoch=1, wal_applied=50, payload="mid"))
         store.save(state(epoch=2, wal_applied=0, payload="new"))
         assert store.load_latest()["payload"] == "new"
+
+    def test_file_is_one_compact_sorted_dumps(self, store, tmp_path):
+        """``write_json`` writes exactly one ``json.dumps`` string (the C
+        encoder), for a store document and for a bare payload such as
+        ``meta.json``."""
+        payload = state(epoch=4, wal_applied=9,
+                        floats=[i / 7 for i in range(2000)],
+                        nested={"b": [True, None], "a": "\u00e9"})
+        path = store.save(payload)
+        payload_with_format = {**payload, "format": SNAPSHOT_FORMAT}
+        assert path.read_bytes() == json.dumps(
+            payload_with_format, separators=(",", ":"),
+            sort_keys=True).encode()
+        meta = tmp_path / "meta.json"
+        write_json(meta, payload)
+        assert meta.read_bytes() == json.dumps(
+            payload, separators=(",", ":"), sort_keys=True).encode()
 
     def test_no_tmp_file_left_behind(self, store):
         store.save(state())
