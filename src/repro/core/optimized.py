@@ -23,26 +23,28 @@ whole matrix**, not per node.  One call to
 :meth:`RatingMatrix.entries` yields every nonzero effective element
 COO-style; the C1/C3/C4 booster mask for *all* high rows, the booster
 aggregates, and the Formula (2) band membership are then single
-whole-array broadcasts.  Per-pair Python survives only for the
-symmetric re-check and evidence assembly of the (rare) candidates that
-pass the screen, and the booster rows consulted there are memoized
-from the broadcast pass rather than re-derived per ``(i, j)``.
-Because the accessor works on nonzero entries, the pass costs
-O(E + candidates) wall-clock for E stored edges — no ``(n, n)`` plane
-is ever materialized.
+whole-array broadcasts.  The symmetric re-check is a join: the sorted
+``(target, rater)`` keys of the booster entries are searched for their
+transposes, so a pair is mutual when both legs are booster entries and
+flagged when both legs are in band.  Per-pair Python survives only for
+the evidence of the (rare) flagged pairs.  Because the accessor works
+on nonzero entries, the pass costs O(E + B log B) wall-clock for E
+stored edges and B booster entries — no ``(n, n)`` plane is ever
+materialized.
 
 The operation counter is charged the *algorithm's nominal* costs, not
-the vectorized implementation's: one ``freq_check`` per rater element
-per high node (including the symmetric re-derivation of a partner's
-booster row, which the memo makes free in wall-clock but which the
-sequential algorithm pays for), and one ``formula_eval`` per screen
+the vectorized implementation's, computed from the joined arrays: one
+``freq_check`` per rater element per high node, plus ``n - 1`` for the
+symmetric re-derivation of a partner's booster row each time the
+sequential loop resolves a pair (at the pair's first in-band entry in
+``(target, rater)`` order), and one ``formula_eval`` per screen
 evaluation — so Proposition 4.2's O(m·n) growth stays measurable and
 the growth-ratio gate keeps verifying it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -67,16 +69,15 @@ class ScreenPass:
     """Precomputed whole-matrix screen state for one detection pass.
 
     Holds the booster entries (the C1/C3/C4 mask applied to every
-    nonzero effective element at once), their per-target slices, and
-    the Formula (2) band verdicts — everything the candidate loop
-    consults, so the loop never touches matrix storage again.
+    nonzero effective element at once, in ``(target, rater)`` order)
+    and their Formula (2) band verdicts — everything the candidate join
+    consults, so the join never touches matrix storage again.
     :meth:`repro.rings.graph.SuspectGraph.from_matrix` runs the same
     pass and reads its screened legs off ``b_band``.
     """
 
     __slots__ = ("hot_pairs", "b_targets", "b_raters", "b_eff", "b_pos",
-                 "b_band", "band_by_target", "band_by_entry",
-                 "stats_by_entry", "_slice_cache")
+                 "b_band", "formula_evals")
 
     def __init__(self, entries: Entries, high: npt.NDArray[np.bool_],
                  node_eff: npt.NDArray[np.int64],
@@ -99,19 +100,14 @@ class ScreenPass:
         self.b_raters = e_r[mask]
         self.b_eff = e_eff[mask]
         self.b_pos = e_pos[mask]
-        self._slice_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
         # Formula (2) band membership, broadcast over all screened rows;
-        # ``b_band`` repeats each verdict on its booster entries.
+        # ``b_band`` repeats each verdict on its booster entries.  The
+        # sequential screen evaluates the formula once per booster set
+        # (multi-booster exclusion) or once per booster.
         self.b_band: npt.NDArray[np.bool_] = np.zeros(self.b_targets.size,
                                                       dtype=bool)
-        self.band_by_target: Dict[int, bool] = {}
-        self.band_by_entry: Dict[Tuple[int, int], bool] = {}
-        self.stats_by_entry: Dict[Tuple[int, int], Tuple[int, int]] = {
-            (int(t), int(r)): (int(f), int(p))
-            for t, r, f, p in zip(self.b_targets, self.b_raters,
-                                  self.b_eff, self.b_pos)
-        }
+        self.formula_evals = int(self.b_targets.size)
         if self.b_targets.size == 0:
             return
         if multi_booster_exclusion:
@@ -125,9 +121,7 @@ class ScreenPass:
             )
             self.b_band = np.repeat(
                 band, np.diff(np.append(seg_start, self.b_targets.size)))
-            self.band_by_target = {
-                int(t): bool(v) for t, v in zip(uniq_t, band)
-            }
+            self.formula_evals = int(uniq_t.size)
         else:
             self.b_band = np.asarray(formula2_screen(
                 reputation=sum_reputation[self.b_targets],
@@ -135,25 +129,6 @@ class ScreenPass:
                 pair_count=self.b_eff.astype(float),
                 t_a=th.t_a, t_b=th.t_b,
             ), dtype=bool)
-            self.band_by_entry = {
-                (int(t), int(r)): bool(v)
-                for t, r, v in zip(self.b_targets, self.b_raters, self.b_band)
-            }
-
-    def boosters_of(self, target: int
-                    ) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        """``(raters, frequencies)`` of ``target``'s booster set.
-
-        Memoized per pass: the symmetric re-check reads the partner's
-        row here instead of re-deriving it per candidate pair.
-        """
-        cached = self._slice_cache.get(target)
-        if cached is None:
-            lo = int(np.searchsorted(self.b_targets, target, side="left"))
-            hi = int(np.searchsorted(self.b_targets, target, side="right"))
-            cached = (self.b_raters[lo:hi], self.b_eff[lo:hi])
-            self._slice_cache[target] = cached
-        return cached
 
 
 class OptimizedCollusionDetector:
@@ -185,18 +160,20 @@ class OptimizedCollusionDetector:
     @staticmethod
     def _evidence(
         screen: ScreenPass,
+        entry: int,
         node_eff: npt.NDArray[np.int64],
         node_pos: npt.NDArray[np.int64],
-        rater: int,
-        target: int,
-        target_reputation: float,
+        gate_reputation: npt.NDArray[np.float64],
     ) -> PairEvidence:
-        """Assemble audit evidence (not part of the algorithm's cost)."""
-        freq, pos = screen.stats_by_entry[(target, rater)]
+        """Audit evidence of one booster entry (not part of the
+        algorithm's cost)."""
+        target = int(screen.b_targets[entry])
+        freq = int(screen.b_eff[entry])
+        pos = int(screen.b_pos[entry])
         others_total = int(node_eff[target]) - freq
         others_positive = int(node_pos[target]) - pos
         return PairEvidence(
-            rater=rater,
+            rater=int(screen.b_raters[entry]),
             target=target,
             frequency=freq,
             positive=pos,
@@ -204,7 +181,7 @@ class OptimizedCollusionDetector:
             others_positive=others_positive,
             a=pos / freq if freq > 0 else float("nan"),
             b=others_positive / others_total if others_total > 0 else float("nan"),
-            target_reputation=target_reputation,
+            target_reputation=float(gate_reputation[target]),
         )
 
     # ------------------------------------------------------------------
@@ -253,55 +230,35 @@ class OptimizedCollusionDetector:
 
         screen = ScreenPass(matrix.entries(effective=True), high, node_eff,
                             sum_reputation, th, self.multi_booster_exclusion)
-        multi = self.multi_booster_exclusion
-        resolved: Set[Tuple[int, int]] = set()
-
-        for i in high_ids:
-            i = int(i)
-            raters_i, _eff_i = screen.boosters_of(i)
-            if raters_i.size == 0:
-                continue
-            if multi:
-                self.ops.add("formula_eval", 1)
-                if not screen.band_by_target[i]:
-                    continue
-            for j in raters_i:
-                j = int(j)
-                if not multi:
-                    self.ops.add("formula_eval", 1)
-                    if not screen.band_by_entry[(i, j)]:
-                        continue
-                key = (i, j) if i < j else (j, i)
-                if key in resolved:
-                    continue
-                resolved.add(key)
-                # Symmetric direction: is n_j's reputation also inside
-                # the Formula (2) band for its own booster set
-                # containing n_i?  The nominal algorithm re-derives
-                # n_j's booster row (n - 1 element inspections); the
-                # pass memo makes the lookup O(1) in wall-clock.
-                self.ops.add("freq_check", n - 1)
-                raters_j, _eff_j = screen.boosters_of(j)
-                k = int(np.searchsorted(raters_j, i))
-                if k >= raters_j.size or int(raters_j[k]) != i:
-                    continue
-                self.ops.add("formula_eval", 1)
-                symmetric_ok = (screen.band_by_target[j] if multi
-                                else screen.band_by_entry[(j, i)])
-                if not symmetric_ok:
-                    continue
-                report.add(
-                    SuspectedPair.of(
-                        i,
-                        j,
-                        self._evidence(screen, node_eff, node_pos,
-                                       rater=i, target=j,
-                                       target_reputation=float(gate_reputation[j])),
-                        self._evidence(screen, node_eff, node_pos,
-                                       rater=j, target=i,
-                                       target_reputation=float(gate_reputation[i])),
-                    )
-                )
+        b_t, b_r, band = screen.b_targets, screen.b_raters, screen.b_band
+        if b_t.size:
+            self.ops.add("formula_eval", screen.formula_evals)
+            # Join each booster entry (i <- j) with its transpose
+            # (j <- i); ``keys`` is sorted because the booster entries
+            # are in (target, rater) order.
+            keys = b_t * n + b_r
+            transposed = b_r * n + b_t
+            rev = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+            mutual = keys[rev] == transposed
+            mutual_band = band & mutual & band[rev]
+            # The nominal loop walks the in-band entries in (target,
+            # rater) order and resolves each unordered pair once, at its
+            # first entry: it re-derives the partner's booster row
+            # (n - 1 element inspections), then evaluates the partner's
+            # screen if the partner boosts back.
+            resolved = band & ~(mutual_band & (b_r < b_t))
+            self.ops.add("freq_check", (n - 1) * int(np.count_nonzero(resolved)))
+            self.ops.add("formula_eval",
+                         int(np.count_nonzero(resolved & mutual)))
+            for k in np.flatnonzero(mutual_band & (b_t < b_r)).tolist():
+                report.add(SuspectedPair.of(
+                    int(b_t[k]),
+                    int(b_r[k]),
+                    self._evidence(screen, int(rev[k]), node_eff, node_pos,
+                                   gate_reputation),
+                    self._evidence(screen, k, node_eff, node_pos,
+                                   gate_reputation),
+                ))
 
         report.operations = self.ops.diff(before)
         return report

@@ -5,20 +5,25 @@ records the reputation ratings" (Section IV-B).  :class:`RatingMatrix`
 is that structure: the total / positive / negative rating counts for
 every ``[target, rater]`` pair in the current reputation period ``T``.
 
-Storage is per-target compressed rows (:class:`CsrRows`: a CSR layout
-split row by row, so incremental updates never rewrite the whole
-structure).  Memory is O(E) for E distinct (target, rater) edges — real
-rating graphs are sparse, each rater rating only a subset of the nodes.
-No detector needs an ``(n, n)`` plane: Proposition 4.2's screen reads
-per-node totals and one pair count per stored entry, which the
-``received_*`` aggregates, :meth:`RatingMatrix.row_entries` and
-:meth:`RatingMatrix.entries` provide.
+Storage is compressed sparse rows (:class:`CsrRows`: one ``indptr``
+and four flat ``int64`` columns).  Memory is O(E) for E distinct
+(target, rater) edges — real rating graphs are sparse, each rater
+rating only a subset of the nodes.  No detector needs an ``(n, n)``
+plane: Proposition 4.2's screen reads per-node totals and one pair
+count per stored entry, which the ``received_*`` aggregates,
+:meth:`RatingMatrix.row_entries` and :meth:`RatingMatrix.entries`
+provide.
 
 Performance notes
 -----------------
-* ``add`` binary-searches one row and bumps or inserts the element
-  (O(row length)); bulk ``add_events`` groups the batch by target and
-  merges each touched row once, so ingestion never loops per event.
+* Bulk ``add_events`` merges the batch with the stored entries in one
+  stable sort of the packed key ``target * n + rater`` and one
+  ``np.add.reduceat`` per column: O(E log E), no per-row loop.  Every
+  production matrix is built this way.
+* ``add`` binary-searches one row and bumps the entry in place, or
+  inserts it into the four columns and shifts ``indptr`` (O(E)).
+* ``entries()`` is ``np.repeat`` of the row ids plus one mask, and
+  ``row_entries`` / pair lookups are ``indptr`` slices.
 * Node aggregates (``N_i``, ``N+_i``, ``N-_i``) are maintained
   incrementally, so every row reduction the detectors read is O(1).
 * Row and COO accessors may return the stored arrays themselves;
@@ -38,7 +43,7 @@ unless explicitly configured to
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -55,108 +60,85 @@ _EMPTY_I64: IntArray = np.empty(0, dtype=np.int64)
 
 
 class CsrRows:
-    """Per-target compressed rows — CSR split row by row.
+    """Compressed sparse rows: one ``indptr`` and four flat columns.
 
-    Each target row is four parallel arrays ``(raters, counts, pos,
-    neg)`` with ``raters`` strictly ascending; an absent row is the
-    all-zero row.  Arguments are pre-validated by :class:`RatingMatrix`.
+    Target ``t``'s entries are ``raters/counts/pos/neg[indptr[t]:
+    indptr[t + 1]]`` with ``raters`` strictly ascending; every stored
+    entry has a nonzero total.  Arguments are pre-validated by
+    :class:`RatingMatrix`.
     """
 
     name = "csr"
 
-    __slots__ = ("n", "_rows", "_node_total", "_node_pos", "_node_neg")
+    __slots__ = ("n", "_indptr", "_raters", "_counts", "_pos", "_neg",
+                 "_node_total", "_node_pos", "_node_neg")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        # target -> [raters, counts, pos, neg] or None (all-zero row)
-        self._rows: List[Optional[List[IntArray]]] = [None] * n
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        self._raters = self._counts = self._pos = self._neg = _EMPTY_I64
         self._node_total = np.zeros(n, dtype=np.int64)
         self._node_pos = np.zeros(n, dtype=np.int64)
         self._node_neg = np.zeros(n, dtype=np.int64)
+
+    def _targets(self) -> IntArray:
+        """The target of every stored entry (the column ``indptr`` packs)."""
+        return np.repeat(np.arange(self.n, dtype=np.int64),
+                         np.diff(self._indptr))
+
+    def _find(self, rater: int, target: int) -> Tuple[int, bool]:
+        """Index of ``(target, rater)`` in the columns (or where it goes)."""
+        lo, hi = int(self._indptr[target]), int(self._indptr[target + 1])
+        k = lo + int(np.searchsorted(self._raters[lo:hi], rater))
+        return k, k < hi and int(self._raters[k]) == rater
 
     # mutation -----------------------------------------------------------
     def add(self, rater: int, target: int, value: int, count: int) -> None:
         if count == 0:
             return
-        row = self._rows[target]
-        if row is None:
-            idx = np.array([rater], dtype=np.int64)
-            cnt = np.array([count], dtype=np.int64)
-            pos = np.array([count if value == 1 else 0], dtype=np.int64)
-            neg = np.array([count if value == -1 else 0], dtype=np.int64)
-            self._rows[target] = [idx, cnt, pos, neg]
+        pos = count if value == 1 else 0
+        neg = count if value == -1 else 0
+        k, found = self._find(rater, target)
+        if found:
+            self._counts[k] += count
+            self._pos[k] += pos
+            self._neg[k] += neg
         else:
-            idx = row[0]
-            k = int(np.searchsorted(idx, rater))
-            if k < idx.size and idx[k] == rater:
-                row[1][k] += count
-                if value == 1:
-                    row[2][k] += count
-                elif value == -1:
-                    row[3][k] += count
-            else:
-                row[0] = np.insert(idx, k, rater)
-                row[1] = np.insert(row[1], k, count)
-                row[2] = np.insert(row[2], k, count if value == 1 else 0)
-                row[3] = np.insert(row[3], k, count if value == -1 else 0)
+            self._raters = np.insert(self._raters, k, rater)
+            self._counts = np.insert(self._counts, k, count)
+            self._pos = np.insert(self._pos, k, pos)
+            self._neg = np.insert(self._neg, k, neg)
+            self._indptr[target + 1:] += 1
         self._node_total[target] += count
-        if value == 1:
-            self._node_pos[target] += count
-        elif value == -1:
-            self._node_neg[target] += count
+        self._node_pos[target] += pos
+        self._node_neg[target] += neg
 
     def add_events(self, raters: IntArray, targets: IntArray,
                    values: IntArray) -> None:
         n = self.n
-        # One merged delta per distinct (target, rater) pair: sort by a
-        # packed key, then segment-reduce each plane.
-        keys = targets * np.int64(n) + raters
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        cnt = np.bincount(inverse, minlength=uniq.size).astype(np.int64)
-        pos = np.bincount(inverse, weights=(values == 1),
-                          minlength=uniq.size).astype(np.int64)
-        neg = np.bincount(inverse, weights=(values == -1),
-                          minlength=uniq.size).astype(np.int64)
-        d_targets = uniq // n
-        d_raters = uniq % n
-        # Merge per touched target; uniq is sorted so targets appear in
-        # contiguous ascending runs.
-        boundaries = np.flatnonzero(np.diff(d_targets)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [uniq.size]))
-        for s, e in zip(starts, ends):
-            self._merge_row(int(d_targets[s]), d_raters[s:e],
-                            cnt[s:e], pos[s:e], neg[s:e])
-        self._node_total += np.bincount(targets, minlength=n).astype(np.int64)
-        self._node_pos += np.bincount(
-            targets[values == 1], minlength=n).astype(np.int64)
-        self._node_neg += np.bincount(
-            targets[values == -1], minlength=n).astype(np.int64)
-
-    def _merge_row(self, target: int, raters: IntArray, cnt: IntArray,
-                   pos: IntArray, neg: IntArray) -> None:
-        row = self._rows[target]
-        if row is None:
-            self._rows[target] = [raters.copy(), cnt.copy(),
-                                  pos.copy(), neg.copy()]
-            return
-        old_idx = row[0]
-        merged = np.union1d(old_idx, raters)
-        new_cnt = np.zeros(merged.size, dtype=np.int64)
-        new_pos = np.zeros(merged.size, dtype=np.int64)
-        new_neg = np.zeros(merged.size, dtype=np.int64)
-        old_at = np.searchsorted(merged, old_idx)
-        new_cnt[old_at] = row[1]
-        new_pos[old_at] = row[2]
-        new_neg[old_at] = row[3]
-        add_at = np.searchsorted(merged, raters)
-        new_cnt[add_at] += cnt
-        new_pos[add_at] += pos
-        new_neg[add_at] += neg
-        self._rows[target] = [merged, new_cnt, new_pos, new_neg]
+        # Stored entries and the batch in one stable sort of a packed
+        # (target, rater) key; each run of equal keys is one entry.
+        keys = np.concatenate((self._targets() * n + self._raters,
+                               targets * np.int64(n) + raters))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                keys[1:] != keys[:-1])))
+        planes = (np.concatenate((self._counts, np.ones_like(values))),
+                  np.concatenate((self._pos, (values == 1).astype(np.int64))),
+                  np.concatenate((self._neg, (values == -1).astype(np.int64))))
+        self._counts, self._pos, self._neg = (
+            np.add.reduceat(plane[order], starts) for plane in planes)
+        uniq = keys[starts]
+        self._raters = uniq % n
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=self._indptr[1:])
+        self._node_total += np.bincount(targets, minlength=n)
+        self._node_pos += np.bincount(targets[values == 1], minlength=n)
+        self._node_neg += np.bincount(targets[values == -1], minlength=n)
 
     def reset(self) -> None:
-        self._rows = [None] * self.n
+        self._indptr[:] = 0
+        self._raters = self._counts = self._pos = self._neg = _EMPTY_I64
         self._node_total[:] = 0
         self._node_pos[:] = 0
         self._node_neg[:] = 0
@@ -164,13 +146,8 @@ class CsrRows:
     def copy(self) -> "CsrRows":
         out = CsrRows.__new__(CsrRows)
         out.n = self.n
-        out._rows = [
-            None if row is None else [a.copy() for a in row]
-            for row in self._rows
-        ]
-        out._node_total = self._node_total.copy()
-        out._node_pos = self._node_pos.copy()
-        out._node_neg = self._node_neg.copy()
+        for name in self.__slots__[1:]:   # every slot after n is an array
+            setattr(out, name, getattr(self, name).copy())
         return out
 
     # aggregates ---------------------------------------------------------
@@ -189,65 +166,30 @@ class CsrRows:
     # access -------------------------------------------------------------
     def pair_triple(self, rater: int, target: int) -> Tuple[int, int, int]:
         """``(count, positive, negative)`` for one (rater, target) pair."""
-        row = self._rows[target]
-        if row is None:
+        k, found = self._find(rater, target)
+        if not found:
             return 0, 0, 0
-        idx = row[0]
-        k = int(np.searchsorted(idx, rater))
-        if k >= idx.size or idx[k] != rater:
-            return 0, 0, 0
-        return int(row[1][k]), int(row[2][k]), int(row[3][k])
+        return int(self._counts[k]), int(self._pos[k]), int(self._neg[k])
 
     def row_entries(self, target: int, effective: bool = True
                     ) -> Tuple[IntArray, IntArray, IntArray]:
-        row = self._rows[target]
-        if row is None:
-            return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-        if effective:
-            sel = row[2] + row[3]
-        else:
-            sel = row[1]
+        row = slice(self._indptr[target], self._indptr[target + 1])
+        sel = (self._pos[row] + self._neg[row] if effective
+               else self._counts[row])
         mask = sel != 0
-        if mask.all():
-            return row[0], sel, row[2]
-        return row[0][mask], sel[mask], row[2][mask]
+        return self._raters[row][mask], sel[mask], self._pos[row][mask]
 
     def entries(self, effective: bool = True
                 ) -> Tuple[IntArray, IntArray, IntArray, IntArray]:
-        t_parts: List[IntArray] = []
-        r_parts: List[IntArray] = []
-        c_parts: List[IntArray] = []
-        p_parts: List[IntArray] = []
-        for target, row in enumerate(self._rows):
-            if row is None:
-                continue
-            idx, sel, pos = self.row_entries(target, effective)
-            if idx.size == 0:
-                continue
-            t_parts.append(np.full(idx.size, target, dtype=np.int64))
-            r_parts.append(idx)
-            c_parts.append(sel)
-            p_parts.append(pos)
-        if not t_parts:
-            return _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
-        return (np.concatenate(t_parts), np.concatenate(r_parts),
-                np.concatenate(c_parts), np.concatenate(p_parts))
+        sel = self._pos + self._neg if effective else self._counts
+        mask = sel != 0
+        return (self._targets()[mask], self._raters[mask], sel[mask],
+                self._pos[mask])
 
     def all_entries(self) -> Tuple[IntArray, IntArray, IntArray,
                                    IntArray, IntArray]:
-        t_parts: List[IntArray] = []
-        parts: List[List[IntArray]] = [[], [], [], []]
-        for target, row in enumerate(self._rows):
-            if row is None:
-                continue
-            t_parts.append(np.full(row[0].size, target, dtype=np.int64))
-            for plane, out in zip(row, parts):
-                out.append(plane)
-        if not t_parts:
-            return (_EMPTY_I64,) * 5
-        return (np.concatenate(t_parts),
-                np.concatenate(parts[0]), np.concatenate(parts[1]),
-                np.concatenate(parts[2]), np.concatenate(parts[3]))
+        return (self._targets(), self._raters, self._counts, self._pos,
+                self._neg)
 
 
 class RatingMatrix:

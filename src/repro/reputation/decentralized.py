@@ -238,11 +238,13 @@ class DecentralizedReputationSystem:
     def global_matrix(self) -> RatingMatrix:
         """Union of all shard matrices — must equal the centralized view."""
         out = RatingMatrix(self.n)
-        for shard in self.shards.values():
-            ledger = shard.ledger
-            if len(ledger):
-                out.add_events(ledger.raters, ledger.targets,
-                               ledger.values.astype(np.int64))
+        # One bulk build over every shard's ledger: each add_events
+        # call re-sorts the stored entries.
+        ledgers = [shard.ledger for shard in self.shards.values()]
+        if ledgers:
+            out.add_events(np.concatenate([led.raters for led in ledgers]),
+                           np.concatenate([led.targets for led in ledgers]),
+                           np.concatenate([led.values for led in ledgers]))
         return out
 
     def published_vector(self) -> np.ndarray:

@@ -249,8 +249,7 @@ class SuspectGraph:
         if screen.hot_pairs:
             ops.add("hot_check", screen.hot_pairs)
         if screen.b_targets.size:
-            ops.add("formula_eval", len(screen.band_by_target)
-                    if multi_booster_exclusion else int(screen.b_targets.size))
+            ops.add("formula_eval", screen.formula_evals)
             ops.add("pact_eval", int(screen.b_targets.size))
         screened = set(zip(screen.b_raters[screen.b_band].tolist(),
                            screen.b_targets[screen.b_band].tolist()))

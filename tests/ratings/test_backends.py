@@ -229,3 +229,24 @@ class TestDenseSparseParity:
             for r, t, v in zip(raters, targets, values):
                 incremental.add(int(r), int(t), int(v))
         assert bulk == incremental
+
+
+class TestStorageFootprint:
+    """Every array the store holds sits in a ``__slots__`` attribute, so
+    summing their ``nbytes`` sizes the whole matrix."""
+
+    def test_slot_arrays_are_the_whole_store(self):
+        m = fill(RatingMatrix(N))
+        m.add_events(np.array([0, 3, 9]), np.array([1, 0, 4]),
+                     np.array([1, -1, 0]))
+        store = m.backend
+        assert not hasattr(store, "__dict__")
+        values = [getattr(store, name) for name in type(store).__slots__]
+        for value in values:
+            assert not isinstance(value, (list, dict, tuple, set))
+        stored = m.all_entries()[0].size
+        assert stored == 8
+        # indptr (n + 1) + raters/counts/pos/neg (one each per stored
+        # entry) + the three length-n node aggregates, all int64.
+        assert sum(v.nbytes for v in values if isinstance(v, np.ndarray)) \
+            == 8 * ((N + 1) + 4 * stored + 3 * N)
